@@ -172,9 +172,6 @@ class FieldElement:
     def is_unit(self) -> bool:
         return self.is_integral() and abs(self.norm()) == 1
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     # -- misc ----------------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -273,11 +270,6 @@ class IdealK:
             return False
         return in_lattice([x.a, x.b], [list(r) for r in self.rows])
 
-    def multiply(self, other: "IdealK", field: "BaseField") -> "IdealK":
-        g1 = self.generator(field)
-        g2 = other.generator(field)
-        return ideal_of_element(g1 * g2)
-
     def key(self):
         return (self.m, self.rows)
 
@@ -292,10 +284,6 @@ def ideal_of_element(x: FieldElement) -> IdealK:
     xw = x * x.field.w()
     rows = hnf([[int(x.a), int(x.b)], [int(xw.a), int(xw.b)]])
     return IdealK(x.field.m, tuple(tuple(r) for r in rows), x.a, x.b)
-
-
-def unit_ideal(field: "BaseField") -> IdealK:
-    return ideal_of_element(field.one())
 
 
 class BaseField:
@@ -317,6 +305,7 @@ class BaseField:
             self._trace_w = Fraction(0)
         self._sqrt_cache: dict[int, tuple[Fraction, Fraction]] = {}
         self._gen_cache: dict = {}
+        self._prime_cache: dict[int, list] = {}
         self._norm_table: tuple[int, dict] | None = None
         self.eps = self._fundamental_unit()
         self.eps_norm = int(self.eps.norm())
@@ -343,9 +332,6 @@ class BaseField:
 
     def w(self) -> FieldElement:
         return FieldElement(self, 0, 1)
-
-    def sqrt_m(self) -> FieldElement:
-        return self.from_sqrt_coords(0, 1)
 
     # -- numerics ---------------------------------------------------------------
     def sqrt_m_enclosure(self, kbits: int):
@@ -405,67 +391,66 @@ class BaseField:
     def _ideals_of_norm(self, n: int):
         """All O_K-stable row lattices ((p, q), (0, r)) with p*r = n."""
         out = []
-        w = self.w()
         for r in range(1, n + 1):
             if n % r:
                 continue
             p = n // r
             for q in range(0, r):
                 rows = [[p, q], [0, r]]
-                wg1 = self.elt(p, q) * w
-                wg2 = self.elt(0, r) * w
-                if in_lattice([wg1.a, wg1.b], rows) and in_lattice([wg2.a, wg2.b], rows):
+                if self._is_ideal(rows):
                     out.append(tuple(tuple(x) for x in rows))
         return out
 
     # -- bounded exact searches --------------------------------------------------------
     def elements_of_norm(self, n: int, lattice_rows=None):
-        """All x with |N(x)| = n, up to units, x in the given row lattice.
+        """Canonical associates (sorted by iota_0, a, b) of all x with |N(x)| = n
+        in the ideal spanned by lattice_rows over (1, w) (default O_K).
 
-        Lattice rows are over (1, w); defaults to O_K. Search covers the
-        unit-window iota_0 in [sqrt(n), sqrt(n)*eps) so the associate list
-        is complete; candidates are verified exactly.
+        Strip search: x = (X + Y*sqrt(m))/c, c = 2 if m = 1 mod 4 else 1, so
+        X^2 - m*Y^2 = +-c^2*n (X = Y mod 2 follows when c = 2). A canonical x
+        has 0 < iota_0 < sqrt(n)*eps and |iota_1| <= sqrt(n), so |Y| =
+        c*|iota_0 - iota_1|/(2*sqrt(m)) is bounded exactly via the rational
+        enclosure of eps; each Y gives X by isqrt: O(sqrt n) integer steps.
+        A lattice that is not an O_K-ideal raises ValueError: membership must
+        not depend on the associate.
         """
         if n <= 0:
             raise ValueError("n must be positive")
-        eps0 = self.eps.approx(0)
-        s = math.sqrt(n)
-        hi0 = s * eps0 * 1.0000001 + 1e-9
-        hi1 = s * 1.0000001 + 1e-9
-        sqm = math.sqrt(self.m)
+        ideal = hnf([list(r) for r in lattice_rows or [[1, 0], [0, 1]]])
+        if not self._is_ideal(ideal):
+            raise ValueError(f"lattice {ideal} is not an O_K-ideal")
+        c = 2 if self._half_basis else 1
+        bound = c * c * n * (self.eps.embed(0)[1] + 1) ** 2 / (4 * self.m)  # >= Ymax^2
+        ymax = math.isqrt(math.floor(bound))
         out = []
         seen = set()
-        if lattice_rows is None:
-            lattice_rows = [[1, 0], [0, 1]]
-        b0 = self.elt(*lattice_rows[0])
-        b1 = self.elt(*lattice_rows[1])
-        e00, e01 = b0.approx(0), b0.approx(1)
-        e10, e11 = b1.approx(0), b1.approx(1)
-        det = e00 * e11 - e01 * e10
-        if abs(det) < 1e-12:
-            raise ArithmeticError("degenerate lattice")
-        # coordinate box from embedding box via inverse matrix, padded
-        corners = [(u, v) for u in (-hi0, hi0) for v in (-hi1, hi1)]
-        smax = tmax = 0.0
-        for u, v in corners:
-            sc = (u * e11 - v * e10) / det
-            tc = (-u * e01 + v * e00) / det
-            smax = max(smax, abs(sc))
-            tmax = max(tmax, abs(tc))
-        S = int(smax * 1.05) + 2
-        T = int(tmax * 1.05) + 2
-        for si in range(-S, S + 1):
-            for ti in range(-T, T + 1):
-                x = b0 * si + b1 * ti
-                if abs(x.norm()) != n:
+        for Y in range(-ymax, ymax + 1):
+            for s in (1, -1):
+                t = self.m * Y * Y + s * c * c * n
+                if t < 0:
                     continue
-                c = self.canonical_associate(x)
-                k = (c.a, c.b)
-                if k not in seen:
-                    seen.add(k)
-                    out.append(c)
+                X = math.isqrt(t)
+                if X * X != t:
+                    continue
+                for Xs in {X, -X}:
+                    x = self.elt((Xs - Y) // 2, Y) if c == 2 else self.elt(Xs, Y)
+                    if not in_lattice([x.a, x.b], ideal):
+                        continue
+                    z = self.canonical_associate(x)
+                    if (z.a, z.b) not in seen:
+                        seen.add((z.a, z.b))
+                        out.append(z)
         out.sort(key=lambda z: (z.approx(0), z.a, z.b))
         return out
+
+    def _is_ideal(self, rows) -> bool:
+        """Whether the row lattice (HNF over (1, w)) is stable under w."""
+        w = self.w()
+        for r in rows:
+            xw = self.elt(r[0], r[1]) * w
+            if not in_lattice([xw.a, xw.b], rows):
+                return False
+        return True
 
     def elements_up_to_norm(self, bound: int) -> dict:
         """dict n -> canonical elements (up to units) with |N| = n <= bound.
@@ -564,21 +549,6 @@ def _lattice_product(field: BaseField, rows_a, rows_b):
             p = xa * xb
             gens.append([int(p.a), int(p.b)])
     return hnf(gens)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -712,7 +682,13 @@ def totally_positive_units_are_squares(field: BaseField, k_range: int = 6) -> bo
 
 
 def prime_elements_above(field: BaseField, ell: int):
-    """Prime elements of O_K above the rational prime ell (h_K = 1 scope)."""
+    """Prime elements of O_K above ell (h_K = 1 scope); memoised per field, fresh list."""
+    if ell not in field._prime_cache:
+        field._prime_cache[ell] = _find_prime_elements(field, ell)
+    return list(field._prime_cache[ell])
+
+
+def _find_prime_elements(field: BaseField, ell: int):
     ks = _kronecker(field.disc, ell)
     if ks == -1:
         return [field.elt(ell)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -1264,19 +1265,34 @@ class OrderArithmetic:
 
 
 class OrderCache:
-    """Append-only JSON-lines cache of order arithmetic records."""
+    """Append-only JSON-lines cache of order arithmetic records (one writer).
+
+    An unparsable unterminated last line (an interrupted append) is skipped
+    with a warning and cut off by the next put; any other malformed line
+    raises ValueError naming its line number.
+    """
 
     def __init__(self, path: str | None):
         self.path = path
         self.mem: dict = {}
+        self._tail = None  # unterminated last line: (offset to cut at, bytes to write first)
         if path and os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+            with open(path, "rb") as fh:
+                data = fh.read()
+            lines = data.split(b"\n")
+            for lineno, line in enumerate(lines, 1):
+                if not line.strip():
+                    continue
+                try:
                     rec = json.loads(line)
                     self.mem[self._key(rec)] = rec
+                except (ValueError, KeyError, TypeError) as e:
+                    if lineno < len(lines):
+                        raise ValueError(f"{path}, line {lineno}: malformed order cache record: {e}") from e
+                    sys.stderr.write(f"warning: {path}, line {lineno}: skipped a truncated final record\n")
+                    self._tail = (len(data) - len(line), b"")
+            if lines[-1] and self._tail is None:
+                self._tail = (len(data), b"\n")
 
     @staticmethod
     def _key(rec) -> tuple:
@@ -1288,8 +1304,12 @@ class OrderCache:
     def put(self, key, rec):
         self.mem[key] = rec
         if self.path:
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            with open(self.path, "ab") as fh:
+                if self._tail is not None:
+                    fh.truncate(self._tail[0])
+                    fh.write(self._tail[1])
+                    self._tail = None
+                fh.write((json.dumps(rec, sort_keys=True) + "\n").encode())
                 fh.flush()
 
 

@@ -12,11 +12,13 @@ from holonomy.fields import (
     ideal_of_element,
     make_field,
     parse_element,
+    prime_elements_above,
     sign_data,
     square_divisor_splits,
     totally_positive_units_are_squares,
     _lattice_product,
 )
+from holonomy.intlinalg import hnf, in_lattice
 
 
 def brute_pell_unit(m):
@@ -221,3 +223,76 @@ class TestSplits:
         for pi, e in fac:
             rebuilt = rebuilt * pi ** e
         assert rebuilt == x
+
+
+def box_elements_of_norm(K, n):
+    """Test-only oracle: canonical elements of norm +-n by a padded box scan.
+
+    A canonical x has 0 < iota_0 < sqrt(n)*eps and |iota_1| <= sqrt(n), so
+    its sqrt-coordinates p + q*sqrt(m) lie in |p|, |q|*sqrt(m) <= sqrt(n)*(eps+1)/2;
+    the box over (a, b) is padded well past that, and the window is tested
+    exactly.
+    """
+    r = math.sqrt(n) * (K.eps.approx(0) + 1)
+    bmax = int(2 * r / math.sqrt(K.m)) + 3
+    amax = int(2 * r) + bmax + 3
+    E2 = K.eps * K.eps
+    c0, c1 = (int(c) for c in K._w2)  # w^2 = c0 + c1*w
+    out = []
+    for b in range(-bmax, bmax + 1):
+        for a in range(-amax, amax + 1):
+            if abs(a * a + a * b * c1 - b * b * c0) != n:
+                continue
+            x = K.elt(a, b)
+            if x.sign(0) <= 0:
+                continue
+            v = x * x
+            if (v - n).sign(0) >= 0 and (v - E2 * n).sign(0) < 0:
+                out.append(x)
+    out.sort(key=lambda z: (z.approx(0), z.a, z.b))
+    return out
+
+
+class TestElementsOfNorm:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([2, 3, 5, 13, 17]), n=st.integers(1, 300))
+    def test_matches_box_oracle(self, m, n):
+        K = make_field(m)
+        assert K.elements_of_norm(n) == box_elements_of_norm(K, n)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    def test_ideal_lattice_keeps_its_generators(self, m):
+        K = make_field(m)
+        for n in range(2, 26):
+            everything = K.elements_of_norm(n)
+            for rows in K._ideals_of_norm(n):
+                got = K.elements_of_norm(n, rows)
+                assert got == [z for z in everything if in_lattice([z.a, z.b], rows)]
+                # h_K = 1: every ideal of norm n has a generator, and every
+                # element of norm n inside it generates it
+                assert got
+                assert all(ideal_of_element(z).rows == rows for z in got)
+
+    def test_non_ideal_lattice_rejected(self):
+        K = make_field(2)
+        # Z + 2*sqrt(2)*Z is an order, not an O_K-ideal
+        with pytest.raises(ValueError):
+            K.elements_of_norm(4, [[1, 0], [0, 2]])
+
+    def test_ideal_lattice_in_any_basis(self):
+        K = make_field(5)
+        rows = K._ideals_of_norm(11)[0]
+        shuffled = [[rows[0][0] + rows[1][0], rows[0][1] + rows[1][1]], list(rows[1])]
+        assert hnf(shuffled) == [list(r) for r in rows]
+        assert K.elements_of_norm(11, shuffled) == K.elements_of_norm(11, rows)
+
+
+class TestPrimeElements:
+    def test_repeated_calls_return_equal_independent_lists(self):
+        K = make_field(2)
+        first = prime_elements_above(K, 7)
+        snapshot = list(first)
+        first.clear()
+        second = prime_elements_above(K, 7)
+        assert second == snapshot and len(second) == 2
+        assert second is not prime_elements_above(K, 7)

@@ -1,8 +1,11 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from holonomy.cli import main as cli_main
 from holonomy.fields import (
     ideal_of_element,
     make_field,
@@ -35,6 +38,7 @@ from holonomy.orders import (
 
 K2 = make_field(2)
 K5 = make_field(5)
+SHIPPED_CACHE = Path(__file__).parent.parent / "data" / "order_cache.jsonl"
 
 
 def order_for_trace(K, t, split_index=0):
@@ -345,6 +349,42 @@ class TestArithmeticCache:
                (a2.h_O, a2.unit_index, a2.torsion, a2.eps_rel)
         with open(path) as fh:
             assert len(fh.readlines()) == 1
+
+    def test_truncated_final_record_is_skipped_then_cut_off(self, tmp_path, capsys):
+        data = SHIPPED_CACHE.read_bytes()
+        nrec = data.count(b"\n")
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(data[:-40])
+        cache = OrderCache(str(path))
+        assert f"line {nrec}: skipped a truncated final record" in capsys.readouterr().err
+        assert len(cache.mem) == nrec - 1
+        # the last shipped record (D = -3) is one the x=3 build needs: the
+        # CLI run recomputes it, and its append replaces the fragment
+        assert cli_main(["--cache", str(path), "enumerate", "--m", "2", "--x", "3"]) == 0
+        assert path.read_bytes() == data
+        capsys.readouterr()
+        OrderCache(str(path))
+        assert "truncated" not in capsys.readouterr().err
+
+    def test_unterminated_final_record_is_kept(self, tmp_path):
+        data = SHIPPED_CACHE.read_bytes()
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(data[:-1])
+        cache = OrderCache(str(path))
+        assert len(cache.mem) == data.count(b"\n")
+        rec = dict(json.loads(data.splitlines()[0]), D="12345")
+        cache.put(OrderCache._key(rec), rec)
+        assert path.read_bytes() == data + json.dumps(rec, sort_keys=True).encode() + b"\n"
+
+    def test_malformed_middle_line_names_its_line(self, tmp_path, capsys):
+        lines = SHIPPED_CACHE.read_bytes().split(b"\n")
+        lines[4] = lines[4][:40]
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match="line 5: malformed order cache record"):
+            OrderCache(str(path))
+        assert cli_main(["--cache", str(path), "enumerate", "--m", "2", "--x", "3"]) == 2
+        assert "line 5: malformed" in capsys.readouterr().err
 
     def test_lattice_spec_parity(self):
         with pytest.raises(ValueError):
