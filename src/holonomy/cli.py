@@ -17,7 +17,7 @@ from fractions import Fraction
 from .config import RunConfig, config_from_sources
 from .fields import ScopeError, format_element, make_field, parse_element, sign_data, ideal_of_element
 from .measure import TrigFunction
-from .orders import LatticeSpec, OrderCache, UNKNOWN, build_order, compute_arithmetic
+from .orders import LatticeSpec, OrderCache, build_order, compute_arithmetic
 from .reports import (
     ComparisonReport,
     TestFunctionSpec,
@@ -112,15 +112,6 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _parse_rect(s: str):
-    parts = s.split(",")
-    rect = []
-    for p in parts:
-        lo, _, hi = p.partition(":")
-        rect.append((float(lo), float(hi)))
-    return rect
 
 
 def _parse_testfn(s: str) -> TestFunctionSpec:

@@ -61,17 +61,6 @@ def hnf_key(rows):
     return tuple(tuple(r) for r in hnf(rows))
 
 
-def det_upper(rows):
-    """Determinant of a full-rank HNF (product of pivots)."""
-    d = 1
-    j = 0
-    for r in rows:
-        while j < len(r) and r[j] == 0:
-            j += 1
-        d *= r[j]
-    return d
-
-
 def in_lattice(vec, hnf_rows):
     """Exact membership of an integer/rational vector in the row lattice."""
     v = [Fraction(x) for x in vec]
@@ -90,54 +79,6 @@ def in_lattice(vec, hnf_rows):
         for i in range(j, n):
             v[i] -= q * r[i]
     return all(x == 0 for x in v)
-
-
-def solve_coords(vec, basis_rows):
-    """Coordinates of vec in terms of basis_rows (full rank), or None.
-
-    Exact back-substitution against the (not necessarily triangular) basis,
-    via rational Gaussian elimination. Returns a list of Fractions.
-    """
-    n = len(basis_rows)
-    m = len(vec)
-    a = [[Fraction(basis_rows[i][j]) for i in range(n)] for j in range(m)]
-    b = [Fraction(x) for x in vec]
-    # solve a * c = b (m equations, n unknowns) by elimination
-    piv_rows = []
-    used = [False] * m
-    coords = [Fraction(0)] * n
-    for colv in range(n):
-        sel = None
-        for r in range(m):
-            if not used[r] and a[r][colv] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        used[sel] = True
-        piv_rows.append((sel, colv))
-        inv = 1 / a[sel][colv]
-        a[sel] = [x * inv for x in a[sel]]
-        b[sel] *= inv
-        for r in range(m):
-            if r != sel and a[r][colv] != 0:
-                f = a[r][colv]
-                a[r] = [x - f * y for x, y in zip(a[r], a[sel])]
-                b[r] -= f * b[sel]
-    for r in range(m):
-        if not used[r] and b[r] != 0:
-            return None
-    for sel, colv in piv_rows:
-        coords[colv] = b[sel]
-        for c2 in range(n):
-            if c2 != colv and a[sel][c2] != 0:
-                coords[colv] -= a[sel][c2] * coords[c2]
-    # verify (cheap, guards against elimination ordering bugs)
-    for j in range(m):
-        s = sum(coords[i] * basis_rows[i][j] for i in range(n))
-        if s != vec[j]:
-            return None
-    return coords
 
 
 def integer_kernel(mat):

@@ -80,14 +80,6 @@ def eval_char(m, theta):
     return out
 
 
-def eval_char_array(mj: int, th: np.ndarray) -> np.ndarray:
-    """Vectorized one-dimensional factor of eval_char."""
-    acc = np.ones_like(th)
-    for k in range(1, mj):
-        acc += 2.0 * np.cos(k * th)
-    return acc
-
-
 # -- the measure itself -------------------------------------------------------
 
 
@@ -174,10 +166,6 @@ class TrigFunction:
 
     def max_degree(self) -> int:
         return max((max(abs(i) for i in k) for k in self.coeffs), default=0)
-
-    def sup_bound(self) -> float:
-        """Certified sup-norm bound: sum of coefficient moduli."""
-        return float(sum(abs(c) for c in self.coeffs.values()))
 
     def is_sign_symmetric(self, tol: float = 1e-12) -> bool:
         for k, c in self.coeffs.items():

@@ -41,7 +41,7 @@ from .fields import (
     ideal_of_element,
     square_divisor_splits,
 )
-from .intlinalg import congruence_lattice, hnf, hnf_key, in_lattice, solve_coords
+from .intlinalg import congruence_lattice, hnf, hnf_key, in_lattice
 
 UNKNOWN = "UNKNOWN"
 
@@ -308,9 +308,6 @@ class RelativeQuadraticOrder:
         u, v = x
         return 2 * K.elt(*u) + self.p_coef * K.elt(*v)
 
-    def abs_norm(self, x) -> Fraction:
-        return self.rel_norm(x).norm()
-
     def one(self):
         return ((1, 0), (0, 0))
 
@@ -331,9 +328,6 @@ class RelativeQuadraticOrder:
         b = vv * self.xi_b
         a = 2 * K.elt(*u) + vv * self.xi_a
         return a, b
-
-    def contains_sqrt_form(self, a: FieldElement, b: FieldElement) -> bool:
-        return self.from_sqrt_form(a, b) is not None
 
     def disc_z(self) -> int:
         g = self.realized_disc
@@ -434,7 +428,10 @@ def _trace_candidates(K: BaseField, T: float):
     amax = int((T + 2) / 2 + 2)
     bmax = int((T + 2) / abs(w0 - w1) + 2)
     for b in range(-bmax, bmax + 1):
-        for a in range(-amax, amax + 1):
+        # |iota_1(a + b w)| < 2 leaves at most 4 values of a; pad by one
+        lo = max(-amax, math.floor(-2 - b * w1) - 1)
+        hi = min(amax, math.ceil(2 - b * w1) + 1)
+        for a in range(lo, hi + 1):
             x = K.elt(a, b)
             if x.sign(0) < 0:
                 x = -x
@@ -447,6 +444,9 @@ def _trace_candidates(K: BaseField, T: float):
             out.append(x)
     uniq = {(x.a, x.b): x for x in out}
     return sorted(uniq.values(), key=lambda z: (z.approx(0), z.a, z.b))
+
+
+_STD_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def torsion_units(order: RelativeQuadraticOrder) -> int:
@@ -465,7 +465,11 @@ def norm_one_group_size(order: RelativeQuadraticOrder) -> int:
     """#O^1 for totally-elliptic (finite) orders, exact."""
     if order.signature != TOTALLY_ELLIPTIC:
         raise ValueError("finite norm-one group needs totally-elliptic signature")
-    return sum(1 for x in _box_elements(order, 1.0 + 1e-9) if order.rel_norm(x) == 1)
+    # rel_norm(x) = 1 forces |x| = 1 at both complex places, so the unit box
+    # (padded inside _cell_scan) holds every such x; the tests are exact
+    found = _cell_scan(order, _STD_ROWS, _embedding_rows(order, _STD_ROWS), [0.0, 0.0],
+                       False, 1, 1, 6_000_000)
+    return sum(1 for x in found if order.rel_norm(x) == 1)
 
 
 def _flat_embedding(order, x):
@@ -479,35 +483,9 @@ def _flat_embedding(order, x):
     return out
 
 
-_STD_BASIS = [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))]
-
-
-def _box_elements(order: RelativeQuadraticOrder, radius: float):
-    """All nonzero x in O with every archimedean absolute value <= radius."""
-    E = np.array([_flat_embedding(order, b) for b in _STD_BASIS]).T
-    Einv = np.linalg.inv(E)
-    pad = 1.05
-    cmax = [0.0] * 4
-    for c in product(*[(-radius * pad, radius * pad)] * 4):
-        sol = Einv @ np.array(c)
-        for i in range(4):
-            cmax[i] = max(cmax[i], abs(sol[i]))
-    ranges = [range(-int(c + 1), int(c + 1) + 1) for c in cmax]
-    out = []
-    for c in product(*ranges):
-        if all(v == 0 for v in c):
-            continue
-        x = ((c[0], c[1]), (c[2], c[3]))
-        es = order.embeddings(x)
-        ok = True
-        for e in es:
-            if isinstance(e, tuple):
-                ok = ok and abs(e[0]) <= radius and abs(e[1]) <= radius
-            else:
-                ok = ok and abs(e) <= radius
-        if ok:
-            out.append(x)
-    return out
+def _embedding_rows(order, rows):
+    """_flat_embedding of each integer row over the basis (1, w, xi, w xi)."""
+    return [_flat_embedding(order, ((r[0], r[1]), (r[2], r[3]))) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +510,10 @@ def _balanced_logs(tau: float, is_he: bool):
     if is_he:
         return [tau / 4, tau / 4, tau / 2]
     return [tau / 2, tau / 2]
+
+
+# largest step along a unit log vector between unit-cell corners
+_CELL = 0.7
 
 
 def _lll_rows_metric(rows, vecs):
@@ -582,62 +564,50 @@ def _lll_rows_metric(rows, vecs):
     return B, V
 
 
-def _lll_rows(order, rows):
-    vecs = [_flat_embedding(order, ((r[0], r[1]), (r[2], r[3]))) for r in rows]
-    B, _ = _lll_rows_metric(rows, vecs)
-    return B
-
-
 def enumerate_mod_units(order, basis_rows, norm_min: int, norm_max, units,
-                        cell: float = 0.7, budget: int = 6_000_000):
+                        budget: int = 6_000_000):
     """Integer-coordinate lattice elements x (rows over the order Z-basis)
     with norm_min <= |N(x)| <= norm_max, at least one per unit-orbit.
 
-    The reduced log-embedding space is tiled: the norm level in
-    [log norm_min, log norm_max] and the coefficients along the unit log
-    vectors in [0, 1), each in steps of at most `cell`. Every cell yields a
-    rigorous upper-bound box per embedding coordinate, converted to a padded
-    coordinate box and scanned exhaustively with exact norm checks. Any
-    lattice element in the norm window has a unit multiple inside some cell,
-    so each orbit is hit at least once.
+    The coefficients along the unit log vectors in [0, 1) are tiled in steps
+    of at most _CELL. Every unit cell yields a rigorous upper bound per log
+    coordinate at the top norm level log(norm_max), converted to a padded
+    coordinate box and scanned exhaustively with exact norm checks. Balanced
+    logs grow with the norm level, so that box holds every element of the
+    cell whose norm is at most norm_max. Any lattice element in the norm
+    window has a unit multiple inside some cell, so each orbit is hit at
+    least once.
     """
     if norm_max < norm_min:
         return []
     if norm_min < 1:
         raise ValueError("integral lattices only: norm_min >= 1")
-    emb_rows = [_flat_embedding(order, ((r[0], r[1]), (r[2], r[3]))) for r in basis_rows]
+    emb_rows = _embedding_rows(order, basis_rows)
     unit_logs = [_log_vector(order, u) for u in units]
     is_he = order.signature == HYPERBOLIC_ELLIPTIC
     dim = 3 if is_he else 2
-    tau_lo_all = math.log(norm_min) - 1e-9
-    tau_hi_all = math.log(float(norm_max)) + 1e-9
-    tau_steps = max(1, math.ceil((tau_hi_all - tau_lo_all) / cell))
-    s_steps = [max(1, math.ceil(math.sqrt(sum(v * v for v in ul)) / cell)) for ul in unit_logs]
+    base = _balanced_logs(math.log(float(norm_max)) + 1e-9, is_he)
+    s_steps = [max(1, math.ceil(math.sqrt(sum(v * v for v in ul)) / _CELL)) for ul in unit_logs]
 
     results = []
     seen = set()
-    for ti in range(tau_steps):
-        t0 = tau_lo_all + (tau_hi_all - tau_lo_all) * ti / tau_steps
-        t1 = tau_lo_all + (tau_hi_all - tau_lo_all) * (ti + 1) / tau_steps
-        for scell in product(*(range(k) for k in s_steps)):
-            # upper bound per log coordinate over the cell (corners suffice)
-            uppers = [-math.inf] * dim
-            for tcorn in (t0, t1):
-                base = _balanced_logs(tcorn, is_he)
-                for corner_idx in product(*[(0, 1)] * len(units)):
-                    vec = list(base)
-                    for ui, (ci, k, flag) in enumerate(zip(scell, s_steps, corner_idx)):
-                        s_val = (ci + flag) / k
-                        for j in range(dim):
-                            vec[j] += s_val * unit_logs[ui][j]
-                    for j in range(dim):
-                        uppers[j] = max(uppers[j], vec[j])
-            for x in _cell_scan(order, basis_rows, emb_rows, uppers, is_he,
-                                norm_min, norm_max, budget):
-                if x in seen:
-                    continue
-                seen.add(x)
-                results.append((None, x))
+    for scell in product(*(range(k) for k in s_steps)):
+        # upper bound per log coordinate over the cell (corners suffice)
+        uppers = [-math.inf] * dim
+        for corner_idx in product(*[(0, 1)] * len(units)):
+            vec = list(base)
+            for ui, (ci, k, flag) in enumerate(zip(scell, s_steps, corner_idx)):
+                s_val = (ci + flag) / k
+                for j in range(dim):
+                    vec[j] += s_val * unit_logs[ui][j]
+            for j in range(dim):
+                uppers[j] = max(uppers[j], vec[j])
+        for x in _cell_scan(order, basis_rows, emb_rows, uppers, is_he,
+                            norm_min, norm_max, budget):
+            if x in seen:
+                continue
+            seen.add(x)
+            results.append((None, x))
     return results
 
 
@@ -730,25 +700,6 @@ def _ideal_lattice_rows(order, a: FieldElement, b: FieldElement):
     return hnf(rows)
 
 
-def _residues_mod(K: BaseField, a: FieldElement):
-    """Representatives of O_K/(a)."""
-    ia = ideal_of_element(a)
-    (p, q), (z, r) = ia.rows
-    for i in range(int(p)):
-        for j in range(int(r)):
-            yield K.elt(i, j)
-
-
-def _gcd_is_unit(K: BaseField, elts) -> bool:
-    rows = []
-    for x in elts:
-        for mult in (K.one(), K.w()):
-            xx = mult * x
-            rows.append([int(xx.a), int(xx.b)])
-    H = hnf(rows)
-    return hnf_key(H) == ((1, 0), (0, 1))
-
-
 def primitive_proper_ideals(order, bound: int):
     """Primitive proper ideals of norm <= bound, deduplicated by lattice.
 
@@ -774,7 +725,7 @@ def primitive_proper_ideals(order, bound: int):
                     # divisibility g in (a) and the integer quotient g/a
                     if not in_lattice([g[0], g[1]], arows):
                         continue
-                    quo = _kdiv_exact(K, g, ai, na)
+                    quo = _kdiv_exact(K, g, ai)
                     if quo is None:
                         continue
                     two_b_p = (2 * bi[0] + pi[0], 2 * bi[1] + pi[1])
@@ -788,7 +739,7 @@ def primitive_proper_ideals(order, bound: int):
     return out
 
 
-def _kdiv_exact(K: BaseField, x, y, ny: int):
+def _kdiv_exact(K: BaseField, x, y):
     """x / y for int pairs when exact, via x * conj(y) / N(y); else None."""
     c1 = int(K._w2[1])
     yc = (y[0] + c1 * y[1], -y[1])
@@ -801,14 +752,19 @@ def _kdiv_exact(K: BaseField, x, y, ny: int):
     return (num[0] // nrm, num[1] // nrm)
 
 
-def _gcd_is_unit_int(K: BaseField, elts) -> bool:
+def _k_module_rows(K: BaseField, elts):
+    """Integer rows spanning the O_K-module generated by int pairs: x and x*w."""
     rows = []
     c0, c1 = int(K._w2[0]), int(K._w2[1])
     for x in elts:
         rows.append([x[0], x[1]])
         # x * w = (c0*x1, x0 + c1*x1)
         rows.append([c0 * x[1], x[0] + c1 * x[1]])
-    return hnf_key(rows) == ((1, 0), (0, 1))
+    return rows
+
+
+def _gcd_is_unit_int(K: BaseField, elts) -> bool:
+    return hnf_key(_k_module_rows(K, elts)) == ((1, 0), (0, 1))
 
 
 def _inverse_lattice(order, rows):
@@ -855,23 +811,18 @@ def _scale_rows(order, rows, x):
 def _k_content_and_primitive(order, rows):
     """Largest c in O_K with rows = c * rows'; returns (c, primitive rows)."""
     K = order.field
-    mod_rows = []
-    for r in rows:
-        for g in (K.elt(r[0], r[1]), K.elt(r[2], r[3])):
-            mod_rows.append([int(g.a), int(g.b)])
-            gw = g * K.w()
-            mod_rows.append([int(gw.a), int(gw.b)])
-    H = hnf(mod_rows)
-    if hnf_key(H) == ((1, 0), (0, 1)):
+    H = hnf(_k_module_rows(K, [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]))
+    if H == [[1, 0], [0, 1]]:
         return K.one(), hnf(rows)
     c = K.principal_generator(H)
     assert c is not None
+    ci = (int(c.a), int(c.b))
     prim = []
     for r in rows:
-        u = K.elt(r[0], r[1]) / c
-        v = K.elt(r[2], r[3]) / c
-        assert u.is_integral() and v.is_integral()
-        prim.append([int(u.a), int(u.b), int(v.a), int(v.b)])
+        u = _kdiv_exact(K, (r[0], r[1]), ci)
+        v = _kdiv_exact(K, (r[2], r[3]), ci)
+        assert u is not None and v is not None
+        prim.append([u[0], u[1], v[0], v[1]])
     return c, hnf(prim)
 
 
@@ -978,9 +929,8 @@ def unit_norm_index(order: RelativeQuadraticOrder, eps_rel, budget: int = 6_000_
     K = order.field
     eps_base = _base_unit(order)
     units = [eps_base, eps_rel] if eps_rel is not None else [eps_base]
-    basis_rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     try:
-        found = enumerate_mod_units(order, basis_rows, 1, 1, units, budget=budget)
+        found = enumerate_mod_units(order, _STD_ROWS, 1, 1, units, budget=budget)
     except Inconclusive:
         return UNKNOWN
     hits = set()

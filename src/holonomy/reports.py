@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -59,14 +58,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
-
-
-def _mult_value(row, certified_only: bool):
-    if row.multiplicity.lo == row.multiplicity.hi:
-        return float(row.multiplicity.lo)
-    if certified_only:
-        return None
-    return float((row.multiplicity.lo + row.multiplicity.hi) / 2)
 
 
 def primitive_count(table: GeodesicTable, x: float) -> float:

@@ -24,7 +24,6 @@ from mpmath import mp
 
 from .fields import BaseField, FieldElement, IdealK, square_divisor_splits
 from .orders import (
-    HYPERBOLIC_ELLIPTIC,
     LatticeSpec,
     Multiplicity,
     OrderCache,
@@ -32,7 +31,6 @@ from .orders import (
     build_order,
     compute_arithmetic,
     embedding_count,
-    norm_one_group_size,
 )
 
 LENGTH_PREC_BITS = 96
@@ -302,8 +300,7 @@ def classify_elliptic_trace(field: BaseField, t: FieldElement, spec: LatticeSpec
             sd.unit_index = arith.unit_index
             sd.certified = arith.certified
             sd.m1 = embedding_count(order, spec, arith.h_O, arith.unit_index, arith.certified)
-            n1 = norm_one_group_size(order)
-            weight_terms.append((sd.m1, n1))
+            weight_terms.append((sd.m1, arith.torsion))
             mult = mult + sd.m1
         else:
             sd.m1 = Multiplicity(Fraction(0), Fraction(0), True)
@@ -317,9 +314,6 @@ class GeodesicTable:
     x_max: float
     rows: list
     elliptic: list
-
-    def primitive_rows(self):
-        return [r for r in self.rows if r.q == 1]
 
     def certified_only(self) -> "GeodesicTable":
         return GeodesicTable(self.field_m, self.x_max,

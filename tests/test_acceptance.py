@@ -2,14 +2,15 @@
 
 Asymptotic statements are checked as desk-scale trends at their stated
 tolerances; exact and property checks run at full strictness. The heavy
-criteria (5, 8, 9) share one build of the cutoff-10 table through the shipped
-warm cache (data/order_cache.jsonl), about 5 s on a 2-core x86-64 machine; a
-cold cache reproduces it in ~25 minutes.
+criteria (5, 8, 9) share one build of the cutoff-10 table through a temporary
+copy of the shipped warm cache (data/order_cache.jsonl), about 5 s on a 2-core
+x86-64 machine; a cold cache reproduces it in about 6 minutes.
 """
 
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -71,9 +72,19 @@ def report(num, ok, detail, elapsed):
     assert ok, line
 
 
+def cache_copy(directory):
+    """An OrderCache on a copy of the shipped cache in `directory`, so a cache
+    miss appends to the copy and never to data/."""
+    if not os.path.exists(CACHE_PATH):
+        return OrderCache(None)
+    path = os.path.join(directory, "order_cache.jsonl")
+    shutil.copyfile(CACHE_PATH, path)
+    return OrderCache(path)
+
+
 @pytest.fixture(scope="module")
-def table10():
-    cache = OrderCache(CACHE_PATH if os.path.exists(CACHE_PATH) else None)
+def table10(tmp_path_factory):
+    cache = cache_copy(tmp_path_factory.mktemp("cache"))
     return length_spectrum(K2, 10.0, SPEC2, cache)
 
 
@@ -287,10 +298,9 @@ def test_criterion_9_equidistribution_trend(table10):
                   f"around mu = {row['mu_A']:.5f}", time.time() - t0)
 
 
-def test_criterion_10_geometric_side_consistency():
+def test_criterion_10_geometric_side_consistency(tmp_path):
     t0 = time.time()
-    table = length_spectrum(K2, 4.0, SPEC2,
-                            OrderCache(CACHE_PATH if os.path.exists(CACHE_PATH) else None))
+    table = length_spectrum(K2, 4.0, SPEC2, cache_copy(tmp_path))
     tf = TestFunctionSpec("bump", (3.5,))
     out = geometric_side(table, (1,), tf, vol=1.0)
     direct = -sum(float(r.multiplicity.lo) * r.primitive_length * tf.hhat(r.length)

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from holonomy.fields import (
     prime_elements_above,
     square_divisor_splits,
 )
+import holonomy.orders
 from holonomy.orders import (
     BOTH_ZERO,
     HYPERBOLIC_ELLIPTIC,
@@ -20,6 +22,7 @@ from holonomy.orders import (
     UNKNOWN,
     LatticeSpec,
     OrderCache,
+    _trace_candidates,
     build_order,
     canonical_square_class,
     class_number,
@@ -35,16 +38,46 @@ from holonomy.orders import (
     torsion_units,
     unit_norm_index,
 )
+from holonomy.spectrum import classify_elliptic_trace, enumerate_elliptic_traces
 
 K2 = make_field(2)
 K5 = make_field(5)
 SHIPPED_CACHE = Path(__file__).parent.parent / "data" / "order_cache.jsonl"
+SHIPPED_TABLE = Path(__file__).parent.parent / "data" / "spectrum_m2_x10.csv"
 
 
 def order_for_trace(K, t, split_index=0):
     D = t * t - 4
     d_id = square_divisor_splits(D)[split_index][0]
     return build_order(K, D, d_id)
+
+
+def shipped_records():
+    with open(SHIPPED_CACHE) as fh:
+        return {OrderCache._key(rec): rec for rec in map(json.loads, fh)}
+
+
+def box_trace_candidates(K, T):
+    """The O(T^2) box scan that _trace_candidates replaced, kept as its oracle."""
+    out = []
+    w0 = K.w().approx(0)
+    w1 = K.w().approx(1)
+    amax = int((T + 2) / 2 + 2)
+    bmax = int((T + 2) / abs(w0 - w1) + 2)
+    for b in range(-bmax, bmax + 1):
+        for a in range(-amax, amax + 1):
+            x = K.elt(a, b)
+            if x.sign(0) < 0:
+                x = -x
+            if (x - 2).sign(0) <= 0:
+                continue
+            if x.approx(0) > T + 1e-9:
+                continue
+            if not ((x - 2).sign(1) < 0 and (x + 2).sign(1) > 0):
+                continue
+            out.append(x)
+    uniq = {(x.a, x.b): x for x in out}
+    return sorted(uniq.values(), key=lambda z: (z.approx(0), z.a, z.b))
 
 
 class TestSqrtInK:
@@ -206,6 +239,45 @@ class TestUnits:
         assert torsion_units(order_for_trace(K2, K2.elt(1, 0))) == 6
         golden = order_for_trace(K5, K5.w())
         assert norm_one_group_size(golden) == 10
+
+    # the box scan costs O(T^2) Fraction steps (about 4 s at T = 256), so the
+    # largest cutoffs run on one field only
+    @pytest.mark.parametrize("m,T", [(m, T) for m in (2, 3, 5, 13, 17) for T in (8, 16, 32, 64)]
+                             + [(2, 128), (2, 256)])
+    def test_trace_candidates_match_box_scan(self, m, T):
+        K = make_field(m)
+        got = _trace_candidates(K, T)
+        want = box_trace_candidates(K, T)
+        assert [(x.a, x.b) for x in got] == [(x.a, x.b) for x in want]
+
+    def test_torsion_matches_shipped_cm_records(self):
+        cm = {k: rec for k, rec in shipped_records().items() if rec["eps_rel"] is None}
+        assert len(cm) == 3
+        seen = set()
+        for t in enumerate_elliptic_traces(K2):
+            D = t * t - 4
+            for d_id, _ in square_divisor_splits(D):
+                O = build_order(K2, D, d_id)
+                if O.realizable:
+                    key = O.cache_key()
+                    assert norm_one_group_size(O) == cm[key]["torsion"]
+                    seen.add(key)
+        assert seen == set(cm)
+
+    def test_warm_elliptic_classes_reuse_cached_torsion(self, tmp_path, monkeypatch):
+        def boom(order):
+            raise AssertionError("norm_one_group_size called on a warm cache")
+
+        monkeypatch.setattr(holonomy.orders, "norm_one_group_size", boom)
+        path = tmp_path / "cache.jsonl"
+        shutil.copyfile(SHIPPED_CACHE, path)
+        cache = OrderCache(str(path))
+        sizes = []
+        for t in enumerate_elliptic_traces(K2):
+            ec = classify_elliptic_trace(K2, t, LatticeSpec.hilbert(K2), cache)
+            sizes.extend(n1 for _, n1 in ec.weight_terms)
+        assert sorted(sizes) == [4, 6, 8, 8]
+        assert path.read_bytes() == SHIPPED_CACHE.read_bytes()
 
     def test_unit_norm_index_values(self):
         O = order_for_trace(K2, K2.elt(1, 1))
@@ -385,6 +457,20 @@ class TestArithmeticCache:
             OrderCache(str(path))
         assert cli_main(["--cache", str(path), "enumerate", "--m", "2", "--x", "3"]) == 2
         assert "line 5: malformed" in capsys.readouterr().err
+
+    def test_cold_build_reproduces_shipped_table_and_records(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        out = tmp_path / "x5.csv"
+        assert cli_main(["--cache", str(path), "enumerate", "--m", "2", "--x", "5",
+                         "--out", str(out)]) == 0
+        ref = SHIPPED_TABLE.read_text().splitlines()
+        want = ["# m=2 x=5", ref[1]] + [ln for ln in ref[2:] if float(ln.split(",")[4]) <= 5]
+        assert out.read_text().splitlines() == want
+        shipped = shipped_records()
+        with open(path) as fh:
+            appended = [json.loads(ln) for ln in fh]
+        assert len(appended) == 20
+        assert all(rec == shipped[OrderCache._key(rec)] for rec in appended)
 
     def test_lattice_spec_parity(self):
         with pytest.raises(ValueError):
