@@ -309,6 +309,7 @@ class BaseField:
         self._norm_table: tuple[int, dict] | None = None
         self.eps = self._fundamental_unit()
         self.eps_norm = int(self.eps.norm())
+        self._eps_xy = self._xy(self.eps)
         assert abs(self.eps_norm) == 1
         assert self.eps.sign(0) > 0 and self.eps.cmp(1, 0) > 0
         self.h_K = self._class_number()
@@ -408,38 +409,30 @@ class BaseField:
 
         Strip search: x = (X + Y*sqrt(m))/c, c = 2 if m = 1 mod 4 else 1, so
         X^2 - m*Y^2 = +-c^2*n (X = Y mod 2 follows when c = 2). A canonical x
-        has 0 < iota_0 < sqrt(n)*eps and |iota_1| <= sqrt(n), so |Y| =
-        c*|iota_0 - iota_1|/(2*sqrt(m)) is bounded exactly via the rational
-        enclosure of eps; each Y gives X by isqrt: O(sqrt n) integer steps.
-        A lattice that is not an O_K-ideal raises ValueError: membership must
-        not depend on the associate.
+        has 0 < iota_0 < sqrt(n)*eps and |iota_1| <= sqrt(n), so X >= 0 and
+        0 <= Y = c*(iota_0 - iota_1)/(2*sqrt(m)) <= Ymax, bounded exactly via
+        the rational enclosure of eps; each Y gives X by isqrt: O(sqrt n)
+        integer steps. A lattice that is not an O_K-ideal raises ValueError:
+        membership must not depend on the associate.
         """
         if n <= 0:
             raise ValueError("n must be positive")
         ideal = hnf([list(r) for r in lattice_rows or [[1, 0], [0, 1]]])
         if not self._is_ideal(ideal):
             raise ValueError(f"lattice {ideal} is not an O_K-ideal")
-        c = 2 if self._half_basis else 1
-        bound = c * c * n * (self.eps.embed(0)[1] + 1) ** 2 / (4 * self.m)  # >= Ymax^2
-        ymax = math.isqrt(math.floor(bound))
+        cc = 4 if self._half_basis else 1
         out = []
-        seen = set()
-        for Y in range(-ymax, ymax + 1):
+        for Y in range(self._ymax(n) + 1):
             for s in (1, -1):
-                t = self.m * Y * Y + s * c * c * n
+                t = self.m * Y * Y + s * cc * n
                 if t < 0:
                     continue
                 X = math.isqrt(t)
-                if X * X != t:
+                if X * X != t or not self._is_canonical_xy(X, Y):
                     continue
-                for Xs in {X, -X}:
-                    x = self.elt((Xs - Y) // 2, Y) if c == 2 else self.elt(Xs, Y)
-                    if not in_lattice([x.a, x.b], ideal):
-                        continue
-                    z = self.canonical_associate(x)
-                    if (z.a, z.b) not in seen:
-                        seen.add((z.a, z.b))
-                        out.append(z)
+                x = self._from_xy(X, Y)
+                if in_lattice([x.a, x.b], ideal):
+                    out.append(x)
         out.sort(key=lambda z: (z.approx(0), z.a, z.b))
         return out
 
@@ -453,60 +446,79 @@ class BaseField:
         return True
 
     def elements_up_to_norm(self, bound: int) -> dict:
-        """dict n -> canonical elements (up to units) with |N| = n <= bound.
+        """dict n -> canonical elements (up to units) with |N| = n <= bound,
+        each list sorted as in elements_of_norm.
 
-        Single box pass over the canonical unit window; exact verification.
-        Cached monotonically by bound.
+        The strip of elements_of_norm for all n <= bound at once: for each
+        0 <= Y <= Ymax(bound), the X >= 0 with |X^2 - m*Y^2| <= c^2*bound form
+        a range bounded by isqrt, and the canonical ones are kept. The table
+        is cached; a larger bound rebuilds it at no less than twice the
+        cached bound, so a rising sequence of bounds rebuilds it rarely.
         """
-        if self._norm_table is not None and self._norm_table[0] >= bound:
-            return {n: lst for n, lst in self._norm_table[1].items() if n <= bound}
-        eps0 = self.eps.approx(0)
-        s = math.sqrt(bound)
-        hi0 = s * eps0 * 1.0000001 + 1e-9
-        hi1 = s * 1.0000001 + 1e-9
-        w0 = self.w().approx(0)
-        w1 = self.w().approx(1)
-        # x = p + q w ; iota0 = p + q w0, iota1 = p + q w1
-        qmax = int((hi0 + hi1) / abs(w0 - w1)) + 2
-        pmax = int(hi0 + hi1) + 2
-        out: dict[int, list] = {}
-        seen = set()
-        for q in range(-qmax, qmax + 1):
-            for p in range(-pmax, pmax + 1):
-                if p == 0 and q == 0:
-                    continue
-                x = self.elt(p, q)
-                n = abs(int(x.norm()))
-                if n == 0 or n > bound:
-                    continue
-                c = self.canonical_associate(x)
-                key = (c.a, c.b)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.setdefault(n, []).append(c)
-        for lst in out.values():
-            lst.sort(key=lambda z: (z.approx(0), z.a, z.b))
-        self._norm_table = (bound, out)
-        return out
+        if self._norm_table is None or self._norm_table[0] < bound:
+            top = max(bound, 2 * self._norm_table[0]) if self._norm_table else bound
+            cc = 4 if self._half_basis else 1
+            out: dict[int, list] = {}
+            for Y in range(self._ymax(top) + 1):
+                mY2 = self.m * Y * Y
+                lo = mY2 - cc * top
+                X0 = math.isqrt(lo - 1) + 1 if lo > 0 else 0
+                for X in range(X0, math.isqrt(mY2 + cc * top) + 1):
+                    if (cc == 4 and (X - Y) % 2) or not self._is_canonical_xy(X, Y):
+                        continue
+                    out.setdefault(abs(X * X - mY2) // cc, []).append(self._from_xy(X, Y))
+            for lst in out.values():
+                lst.sort(key=lambda z: (z.approx(0), z.a, z.b))
+            self._norm_table = (top, out)
+        return {n: lst for n, lst in self._norm_table[1].items() if n <= bound}
+
+    def _ymax(self, n: int) -> int:
+        """Bound on Y = c*(iota_0 - iota_1)/(2*sqrt(m)) over canonical x with
+        |N(x)| <= n, from the rational upper enclosure of iota_0(eps)."""
+        cc = 4 if self._half_basis else 1
+        return math.isqrt(math.floor(cc * n * (self.eps.embed(0)[1] + 1) ** 2 / (4 * self.m)))
+
+    def _xy(self, x: FieldElement):
+        """Integers (X, Y) with x = (X + Y*sqrt(m))/c, for integral x."""
+        a, b = int(x.a), int(x.b)
+        return (2 * a + b, b) if self._half_basis else (a, b)
+
+    def _from_xy(self, X: int, Y: int) -> FieldElement:
+        return self.elt((X - Y) // 2, Y) if self._half_basis else self.elt(X, Y)
+
+    def _is_canonical_xy(self, X: int, Y: int) -> bool:
+        """Whether x = (X + Y*sqrt(m))/c is its own canonical associate.
+
+        For iota_0(x) > 0, iota_0^2 >= |N(x)| means iota_0 >= |iota_1|,
+        i.e. X >= 0 and Y >= 0. The upper end iota_0^2 < |N(x)|*eps^2 is that
+        test failing for x/eps = N(eps)*x*conj(eps), whose (X, Y) are
+        N(eps)*(X*e1 - m*Y*e2, Y*e1 - X*e2)/c with eps = (e1 + e2*sqrt(m))/c.
+        """
+        if X < 0 or Y < 0 or not (X or Y):
+            return False
+        e1, e2 = self._eps_xy
+        s = self.eps_norm
+        return not (s * (X * e1 - self.m * Y * e2) >= 0 and s * (Y * e1 - X * e2) >= 0)
 
     def canonical_associate(self, x: FieldElement) -> FieldElement:
-        """Associate of x with iota_0 > 0 and iota_0 in [sqrt|N|, sqrt|N|*eps)."""
+        """Associate of x with iota_0 > 0 and iota_0 in [sqrt|N|, sqrt|N|*eps),
+        for integral x, by exact integer steps."""
         if x.a == 0 and x.b == 0:
             return x
+        if not x.is_integral():
+            raise ValueError("canonical_associate needs an integral element")
+        X, Y = self._xy(x)
         if x.sign(0) < 0:
-            x = -x
-        n = abs(x.norm())
-        E = self.eps
-        while True:
-            # iota0(x)^2 compared against n and n*iota0(eps)^2, all exact
-            v = x * x
-            if (v - n).sign(0) < 0:
-                x = x * E
-            elif (v - E * E * n).sign(0) >= 0:
-                x = x / E
-            else:
-                return x
+            X, Y = -X, -Y
+        e1, e2 = self._eps_xy
+        s, m = self.eps_norm, self.m
+        c = 2 if self._half_basis else 1
+        while not self._is_canonical_xy(X, Y):
+            if X < 0 or Y < 0:  # iota_0^2 < |N|: multiply by eps
+                X, Y = (X * e1 + m * Y * e2) // c, (X * e2 + Y * e1) // c
+            else:  # iota_0^2 >= |N|*eps^2: divide by eps
+                X, Y = s * (X * e1 - m * Y * e2) // c, s * (Y * e1 - X * e2) // c
+        return self._from_xy(X, Y)
 
     def principal_generator(self, rows) -> FieldElement | None:
         """Generator of the row lattice if it is a principal ideal, else None."""

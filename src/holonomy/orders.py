@@ -392,15 +392,16 @@ def relative_fundamental_unit(order: RelativeQuadraticOrder, iota0_cap: float = 
     Scans relative traces a in O_K ordered by iota_0(a) in (2, T], testing
     exactly whether (a^2-4)/Dred is a square b^2 with (a+b sqrt(Dred))/2 in
     the order. The first hit is fundamental because iota_0 of the unit is
-    monotone in iota_0 of its relative trace.
+    monotone in iota_0 of its relative trace. When T doubles, only the
+    traces above the previous T are new.
     Returns (eps in xi-coords, regulator, torsion).
     """
     if order.signature != HYPERBOLIC_ELLIPTIC:
         raise ValueError("relative fundamental unit needs hyperbolic-elliptic signature")
     K = order.field
-    T = 8.0
+    T, T_prev = 8.0, None
     while T <= 4 * iota0_cap:
-        cands = _trace_candidates(K, T)
+        cands = _trace_candidates(K, T, T_prev)
         for a in cands:
             kappa = (a * a - 4) / order.Dred
             b = sqrt_in_K(kappa)
@@ -416,12 +417,13 @@ def relative_fundamental_unit(order: RelativeQuadraticOrder, iota0_cap: float = 
             iota0 = max(abs(rho[0]), abs(rho[1]))
             reg = math.log(iota0)
             return x, reg, 2
-        T *= 2
+        T, T_prev = 2 * T, T
     raise SearchExhausted(f"no relative unit below iota_0 trace bound {T}")
 
 
-def _trace_candidates(K: BaseField, T: float):
-    """Elements a of O_K with 2 < iota_0(a) <= T and |iota_1(a)| < 2, ordered."""
+def _trace_candidates(K: BaseField, T: float, T_prev: float | None = None):
+    """Elements a of O_K with 2 < iota_0(a) <= T and |iota_1(a)| < 2, ordered;
+    with T_prev, only those whose iota_0 is above T_prev."""
     out = []
     w0 = K.w().approx(0)
     w1 = K.w().approx(1)
@@ -437,7 +439,8 @@ def _trace_candidates(K: BaseField, T: float):
                 x = -x
             if (x - 2).sign(0) <= 0:
                 continue
-            if x.approx(0) > T + 1e-9:
+            v = x.approx(0)
+            if v > T + 1e-9 or (T_prev is not None and v <= T_prev + 1e-9):
                 continue
             if not ((x - 2).sign(1) < 0 and (x + 2).sign(1) > 0):
                 continue
@@ -514,53 +517,70 @@ def _balanced_logs(tau: float, is_he: bool):
 
 # largest step along a unit log vector between unit-cell corners
 _CELL = 0.7
+# relative padding of the embedding box that _cell_scan covers
+_PAD = 1.08
 
 
 def _lll_rows_metric(rows, vecs):
     """Unimodular reduction of integer rows w.r.t. given embedding vectors.
 
-    Numeric LLL; the lattice is unchanged, only its basis. Returns
-    (reduced integer rows, reduced embedding vectors).
+    Incremental floating-point LLL with delta = 0.99 (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.3): the Gram-Schmidt
+    coefficients mu and the squared lengths |b*|^2 are computed once and
+    updated after each size reduction and swap. The lattice is unchanged,
+    only its basis. Returns (reduced integer rows, reduced embedding vectors).
     """
     B = [list(map(int, r)) for r in rows]
-    V = [np.array(v, dtype=float) for v in vecs]
+    V = [[float(t) for t in v] for v in vecs]
     n = len(B)
     delta = 0.99
+    mu = [[0.0] * n for _ in range(n)]
+    bb = [0.0] * n
+    star = []
+    for i in range(n):
+        v = V[i]
+        for j in range(i):
+            if bb[j] > 0:
+                mu[i][j] = sum(a * b for a, b in zip(V[i], star[j])) / bb[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
+        star.append(v)
+        bb[i] = sum(a * a for a in v)
 
-    def gso():
-        star = []
-        mu = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            v = V[i].copy()
-            for j in range(i):
-                denom = float(star[j] @ star[j])
-                mu[i][j] = float(V[i] @ star[j]) / denom if denom > 0 else 0.0
-                v -= mu[i][j] * star[j]
-            star.append(v)
-        return star, mu
+    def reduce(k, j):
+        q = round(mu[k][j])
+        if q:
+            B[k] = [a - q * b for a, b in zip(B[k], B[j])]
+            V[k] = [a - q * b for a, b in zip(V[k], V[j])]
+            mu[k][j] -= q
+            for i in range(j):
+                mu[k][i] -= q * mu[j][i]
 
     k = 1
     guard = 0
     while k < n and guard < 2000:
         guard += 1
-        star, mu = gso()
-        changed = False
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                B[k] = [a - q * b for a, b in zip(B[k], B[j])]
-                V[k] = V[k] - q * V[j]
-                for jj in range(j + 1):
-                    mu[k][jj] -= q * mu[j][jj]
-                changed = True
-        if changed:
-            star, mu = gso()
-        if float(star[k] @ star[k]) >= (delta - mu[k][k - 1] ** 2) * float(star[k - 1] @ star[k - 1]):
+        reduce(k, k - 1)
+        m = mu[k][k - 1]
+        if bb[k] >= (delta - m * m) * bb[k - 1]:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
             k += 1
-        else:
-            B[k], B[k - 1] = B[k - 1], B[k]
-            V[k], V[k - 1] = V[k - 1], V[k]
-            k = max(k - 1, 1)
+            continue
+        b_new = bb[k] + m * m * bb[k - 1]
+        if b_new <= 0:
+            raise Inconclusive("degenerate lattice embedding")
+        B[k], B[k - 1] = B[k - 1], B[k]
+        V[k], V[k - 1] = V[k - 1], V[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        mu[k][k - 1] = m * bb[k - 1] / b_new
+        bb[k] = bb[k - 1] * bb[k] / b_new
+        bb[k - 1] = b_new
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
     return B, V
 
 
@@ -616,7 +636,7 @@ def _cell_scan(order, basis_rows, emb_rows, uppers, is_he, nmin, nmax, budget):
     norm in [nmin, nmax]. The basis is LLL-reduced in the metric scaled by
     the box half-widths, so the covering coordinate box stays small even for
     very lopsided cells."""
-    pad = 1.08
+    pad = _PAD
     if is_he:
         lims = [
             math.exp(uppers[0]) * pad,
@@ -631,9 +651,10 @@ def _cell_scan(order, basis_rows, emb_rows, uppers, is_he, nmin, nmax, budget):
             math.exp(0.5 * uppers[1]) * pad,
             math.exp(0.5 * uppers[1]) * pad,
         ]
-    scale = np.array([1.0 / l for l in lims])
-    scaled = [np.array(v) * scale for v in emb_rows]
+    inv = [1.0 / l for l in lims]
+    scaled = [[e * f for e, f in zip(v, inv)] for v in emb_rows]
     red_rows, red_vecs = _lll_rows_metric(basis_rows, scaled)
+    scale = np.array(inv)
     S = np.array(red_vecs)  # rows: scaled embeddings of reduced basis
     try:
         Sinv = np.linalg.inv(S.T)
@@ -798,18 +819,17 @@ def _mult_matrix(order, g):
 
 
 def _scale_rows(order, rows, x):
-    """Rows of the lattice x * L for x in xi-coords with integer entries."""
+    """Rows spanning the lattice x * L for x in xi-coords (not in HNF)."""
     out = []
     for r in rows:
         g = ((r[0], r[1]), (r[2], r[3]))
-        prod_ = order.mul(x, g)
-        (ua, ub), (va, vb) = prod_
+        (ua, ub), (va, vb) = order.mul(x, g)
         out.append([ua, ub, va, vb])
-    return hnf(out)
+    return out
 
 
 def _k_content_and_primitive(order, rows):
-    """Largest c in O_K with rows = c * rows'; returns (c, primitive rows)."""
+    """Largest c in O_K with rows = c * rows'; returns (c, HNF of rows')."""
     K = order.field
     H = hnf(_k_module_rows(K, [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]))
     if H == [[1, 0], [0, 1]]:
@@ -842,16 +862,29 @@ def class_number(order: RelativeQuadraticOrder, units, bound_scale: float = 1.0,
     units: list of fundamental units of the order in xi-coords (from
     relative_fundamental_unit and the base field unit); used only to bound
     the generator search, never to assert structure.
+
+    The count h1 at the Minkowski-type bound B is certified by an equal
+    count h2 at 2B. Both counts share one enumeration: the primitive proper
+    ideals are listed once up to 2B (those of norm <= B are the bound-B
+    candidates), and the generator search of each seed runs once, at 2B,
+    memoised for this call only; its bound-B class set is read off the same
+    list (see _class_set). A seed whose 2B box exceeds budget falls back to
+    its own search at B, so the result, reason included, is the one two
+    separate passes would give.
     """
     B = max(2, int(_MINK[order.signature] * math.sqrt(order.disc_z()) * bound_scale) + 1)
+    top = 2 * B if stability_check else B
+    cands = primitive_proper_ideals(order, top)
+    searches: dict = {}
     try:
-        h1 = _class_count_at(order, units, B, budget)
+        h1 = _class_count_at(order, units, B, {k: v for k, v in cands.items() if v[2] <= B},
+                             top, searches, budget)
     except Inconclusive as e:
         return ClassNumberResult(0, False, B, None, str(e))
     if not stability_check:
         return ClassNumberResult(h1, False, B, None, "stability check skipped")
     try:
-        h2 = _class_count_at(order, units, 2 * B, budget)
+        h2 = _class_count_at(order, units, 2 * B, cands, top, searches, budget)
     except Inconclusive as e:
         return ClassNumberResult(h1, False, B, 2 * B, f"2x bound inconclusive: {e}")
     if h1 != h2:
@@ -859,8 +892,12 @@ def class_number(order: RelativeQuadraticOrder, units, bound_scale: float = 1.0,
     return ClassNumberResult(h1, True, B, 2 * B)
 
 
-def _class_count_at(order, units, B: int, budget: int = 6_000_000) -> int:
-    cands = primitive_proper_ideals(order, B)
+def _class_count_at(order, units, B: int, cands, top: int, searches: dict,
+                    budget: int = 6_000_000) -> int:
+    """Number of classes among the candidates (primitive proper ideals of
+    norm <= B), merging each unclassified seed with its class set; the
+    generator searches run at bound `top` and are shared through
+    `searches` (see _class_set)."""
     keys = set(cands.keys())
     classified: dict = {}
     n_classes = 0
@@ -868,7 +905,7 @@ def _class_count_at(order, units, B: int, budget: int = 6_000_000) -> int:
         if key in classified:
             continue
         n_classes += 1
-        rset = _class_set(order, units, key, cands[key], B, keys, budget)
+        rset = _class_set(order, units, key, B, keys, top, searches, budget)
         if key not in rset:
             raise Inconclusive("class set does not contain its own seed")
         for k2 in rset:
@@ -890,7 +927,8 @@ def abs_det_of(key) -> int:
     return d
 
 
-def _class_set(order, units, key, abn, B: int, restrict_to, budget: int = 6_000_000):
+def _class_set(order, units, key, B: int, restrict_to, top: int, searches: dict,
+               budget: int = 6_000_000):
     """All candidate keys equivalent to the ideal `key` (norm <= B).
 
     Every primitive ideal I ~ J of norm n2 <= B equals lam * J for a
@@ -898,19 +936,39 @@ def _class_set(order, units, key, abn, B: int, restrict_to, budget: int = 6_000_
     with y in the integral inverse-scaled lattice, such y have
     |N(y)| = n2 * N(J)^3 in [N(J)^3, B*N(J)^3]; enumerating that window
     modulo units and taking K-primitive parts of y*J recovers the class.
+
+    The window is enumerated once per seed, up to bound `top` >= B (2B in
+    class_number), and the y with |N(y)| <= B*N(J)^3 are kept: a unit
+    multiple of y has the same norm and the same key, so every unit orbit
+    the bound-B window holds is in that list. If the top search is
+    inconclusive (its box exceeds budget), the seed is searched at B itself.
     """
-    _, _, nj = abn
+    nmax = B * abs_det_of(key) ** 3
+    for bound in (top, B) if top > B else (top,):
+        if (key, bound) not in searches:
+            try:
+                searches[key, bound] = _generator_keys(order, units, key, bound, budget)
+            except Inconclusive as e:
+                searches[key, bound] = e
+        got = searches[key, bound]
+        if not isinstance(got, Inconclusive):
+            return {k2 for k2, ny in got.items() if ny <= nmax and k2 in restrict_to}
+    raise got
+
+
+def _generator_keys(order, units, key, bound: int, budget: int) -> dict:
+    """Key of the K-primitive part of y*J -> least |N(y)|, over the y with
+    |N(y)| in [N(J)^3, bound*N(J)^3] found modulo units (J = key)."""
     rows = [list(r) for r in key]
     inv_rows, denom = _inverse_lattice(order, rows)
-    found = set()
-    for _, y in enumerate_mod_units(order, inv_rows, denom ** 3, B * denom ** 3, units,
+    out: dict = {}
+    for _, y in enumerate_mod_units(order, inv_rows, denom ** 3, bound * denom ** 3, units,
                                     budget=budget):
-        prod_rows = _scale_rows(order, rows, y)
-        _, prim = _k_content_and_primitive(order, prod_rows)
+        _, prim = _k_content_and_primitive(order, _scale_rows(order, rows, y))
         k2 = tuple(tuple(r) for r in prim)
-        if k2 in restrict_to:
-            found.add(k2)
-    return found
+        ny = abs(order.abs_norm_int(y))
+        out[k2] = min(ny, out.get(k2, ny))
+    return out
 
 
 # ---------------------------------------------------------------------------

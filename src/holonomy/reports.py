@@ -170,6 +170,16 @@ def _symmetrize_interval(lo: float, hi: float):
     return [(lo, hi), (-hi, -lo)]
 
 
+def _folded_sum(table: GeodesicTable, polys):
+    """th -> sum over polys of (S(th) + S(-th))/2 at the table's folded
+    angles, each polynomial evaluated once over all of them."""
+    angles = [r.folded_angle for r in table.rows]
+    th = np.array(angles, dtype=float)
+    vals = [(S.eval_grid(th), S.eval_grid(-th)) for S in polys]
+    sums = [sum(0.5 * (float(p[i]) + float(q[i])) for p, q in vals) for i in range(len(angles))]
+    return dict(zip(angles, sums)).__getitem__
+
+
 def equi_report_rectangle(table: GeodesicTable, interval, N: int, grid,
                           symmetrize: bool = False) -> ComparisonReport:
     """Sharp-cutoff equidistribution for an interval of angles (n = 1).
@@ -186,13 +196,13 @@ def equi_report_rectangle(table: GeodesicTable, interval, N: int, grid,
             raise ValueError("interval is not symmetric; pass symmetrize=True to fold it")
     pieces = _symmetrize_interval(lo, hi)
     mu_a = sum(mu_rect([p]) for p in pieces)
-    majors = [build_majorant(p, N, MAJORANT) for p in pieces]
-    minors = [build_majorant(p, N, MINORANT) for p in pieces]
+    up_fn = _folded_sum(table, [build_majorant(p, N, MAJORANT) for p in pieces])
+    dn_fn = _folded_sum(table, [build_majorant(p, N, MINORANT) for p in pieces])
     rows = []
     for x in grid:
         freq = weyl_sum(table, lambda th: 1.0 if any(a <= th <= b or a <= -th <= b for a, b in pieces) else 0.0, x)
-        up = weyl_sum(table, lambda th: sum(0.5 * (S.eval(th) + S.eval(-th)) for S in majors), x)
-        dn = weyl_sum(table, lambda th: sum(0.5 * (S.eval(th) + S.eval(-th)) for S in minors), x)
+        up = weyl_sum(table, up_fn, x)
+        dn = weyl_sum(table, dn_fn, x)
         rows.append({
             "x": x,
             "frequency": freq,

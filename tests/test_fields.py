@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy.fields import (
+    BaseField,
     ScopeError,
     factor_element,
     format_element,
@@ -285,6 +286,78 @@ class TestElementsOfNorm:
         shuffled = [[rows[0][0] + rows[1][0], rows[0][1] + rows[1][1]], list(rows[1])]
         assert hnf(shuffled) == [list(r) for r in rows]
         assert K.elements_of_norm(11, shuffled) == K.elements_of_norm(11, rows)
+
+
+def fraction_canonical_associate(K, x):
+    """The Fraction-based canonical associate that the integer steps replaced."""
+    if x.sign(0) < 0:
+        x = -x
+    n = abs(x.norm())
+    E = K.eps
+    while True:
+        v = x * x
+        if (v - n).sign(0) < 0:
+            x = x * E
+        elif (v - E * E * n).sign(0) >= 0:
+            x = x / E
+        else:
+            return x
+
+
+def box_elements_up_to_norm(K, bound):
+    """The box scan that elements_up_to_norm replaced, kept as its oracle."""
+    eps0 = K.eps.approx(0)
+    s = math.sqrt(bound)
+    hi0 = s * eps0 * 1.0000001 + 1e-9
+    hi1 = s * 1.0000001 + 1e-9
+    w0 = K.w().approx(0)
+    w1 = K.w().approx(1)
+    qmax = int((hi0 + hi1) / abs(w0 - w1)) + 2
+    pmax = int(hi0 + hi1) + 2
+    out = {}
+    seen = set()
+    for q in range(-qmax, qmax + 1):
+        for p in range(-pmax, pmax + 1):
+            if p == 0 and q == 0:
+                continue
+            x = K.elt(p, q)
+            n = abs(int(x.norm()))
+            if n == 0 or n > bound:
+                continue
+            c = fraction_canonical_associate(K, x)
+            if (c.a, c.b) in seen:
+                continue
+            seen.add((c.a, c.b))
+            out.setdefault(n, []).append(c)
+    for lst in out.values():
+        lst.sort(key=lambda z: (z.approx(0), z.a, z.b))
+    return out
+
+
+class TestElementsUpToNorm:
+    @pytest.mark.parametrize("m", [2, 3, 5, 13, 17])
+    def test_matches_box_scan_for_rising_bounds(self, m):
+        K = BaseField(m)  # a fresh table, grown by the rising bounds
+        for bound in (1, 2, 3, 5, 8, 13, 20, 31, 32, 47, 64):
+            assert K.elements_up_to_norm(bound) == box_elements_up_to_norm(K, bound)
+        assert K._norm_table[0] >= 64
+        assert K.elements_up_to_norm(7) == box_elements_up_to_norm(K, 7)
+
+    def test_table_grows_geometrically(self):
+        K = BaseField(2)
+        for bound in range(10, 200):
+            K.elements_up_to_norm(bound)
+        # 10, 20, 40, 80, 160, 320: five rebuilds after the first table
+        assert K._norm_table[0] == 320
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.sampled_from([2, 3, 5, 13, 17]), a=st.integers(-400, 400), b=st.integers(-400, 400))
+    def test_canonical_associate_matches_fraction_steps(self, m, a, b):
+        K = make_field(m)
+        x = K.elt(a, b)
+        if a == 0 and b == 0:
+            return
+        assert K.canonical_associate(x) == fraction_canonical_associate(K, x)
 
 
 class TestPrimeElements:

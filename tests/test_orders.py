@@ -1,9 +1,11 @@
 import json
 import math
+import re
 import shutil
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from holonomy.cli import main as cli_main
@@ -20,24 +22,35 @@ from holonomy.orders import (
     OTHER_SIGNATURE,
     TOTALLY_ELLIPTIC,
     UNKNOWN,
+    _MINK,
+    ClassNumberResult,
+    Inconclusive,
     LatticeSpec,
     OrderCache,
+    _class_set,
+    _inverse_lattice,
+    _k_content_and_primitive,
+    _scale_rows,
     _trace_candidates,
+    abs_det_of,
     build_order,
     canonical_square_class,
     class_number,
     compute_arithmetic,
     correspondence_ratio,
     embedding_count,
+    enumerate_mod_units,
     local_embedding_factor,
     local_splitting,
     m1_from_data,
     norm_one_group_size,
+    primitive_proper_ideals,
     relative_fundamental_unit,
     sqrt_in_K,
     torsion_units,
     unit_norm_index,
 )
+from holonomy.intlinalg import hnf
 from holonomy.spectrum import classify_elliptic_trace, enumerate_elliptic_traces
 
 K2 = make_field(2)
@@ -78,6 +91,207 @@ def box_trace_candidates(K, T):
             out.append(x)
     uniq = {(x.a, x.b): x for x in out}
     return sorted(uniq.values(), key=lambda z: (z.approx(0), z.a, z.b))
+
+
+def gso_lll_rows_metric(rows, vecs):
+    """The LLL that recomputed the whole Gram-Schmidt basis after every size
+    reduction and swap, kept as the oracle of the incremental one."""
+    B = [list(map(int, r)) for r in rows]
+    V = [np.array(v, dtype=float) for v in vecs]
+    n = len(B)
+    delta = 0.99
+
+    def gso():
+        star = []
+        mu = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            v = V[i].copy()
+            for j in range(i):
+                denom = float(star[j] @ star[j])
+                mu[i][j] = float(V[i] @ star[j]) / denom if denom > 0 else 0.0
+                v -= mu[i][j] * star[j]
+            star.append(v)
+        return star, mu
+
+    k = 1
+    guard = 0
+    while k < n and guard < 2000:
+        guard += 1
+        star, mu = gso()
+        changed = False
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                B[k] = [a - q * b for a, b in zip(B[k], B[j])]
+                V[k] = V[k] - q * V[j]
+                for jj in range(j + 1):
+                    mu[k][jj] -= q * mu[j][jj]
+                changed = True
+        if changed:
+            star, mu = gso()
+        if float(star[k] @ star[k]) >= (delta - mu[k][k - 1] ** 2) * float(star[k - 1] @ star[k - 1]):
+            k += 1
+        else:
+            B[k], B[k - 1] = B[k - 1], B[k]
+            V[k], V[k - 1] = V[k - 1], V[k]
+            k = max(k - 1, 1)
+    return B, V
+
+
+def two_pass_class_number(order, units, bound_scale=1.0, stability_check=True, budget=6_000_000):
+    """The class-number oracle that searched bound B and bound 2B separately,
+    kept as the oracle of the shared 2B enumeration."""
+    B = max(2, int(_MINK[order.signature] * math.sqrt(order.disc_z()) * bound_scale) + 1)
+    try:
+        h1 = two_pass_count_at(order, units, B, budget)
+    except Inconclusive as e:
+        return ClassNumberResult(0, False, B, None, str(e))
+    if not stability_check:
+        return ClassNumberResult(h1, False, B, None, "stability check skipped")
+    try:
+        h2 = two_pass_count_at(order, units, 2 * B, budget)
+    except Inconclusive as e:
+        return ClassNumberResult(h1, False, B, 2 * B, f"2x bound inconclusive: {e}")
+    if h1 != h2:
+        return ClassNumberResult(h2, False, B, 2 * B, f"unstable: h({B})={h1} h({2*B})={h2}")
+    return ClassNumberResult(h1, True, B, 2 * B)
+
+
+def two_pass_count_at(order, units, B, budget=6_000_000):
+    cands = primitive_proper_ideals(order, B)
+    keys = set(cands.keys())
+    classified = {}
+    n_classes = 0
+    for key in sorted(keys, key=lambda k: (abs_det_of(k), k)):
+        if key in classified:
+            continue
+        n_classes += 1
+        rset = two_pass_class_set(order, units, key, B, keys, budget)
+        if key not in rset:
+            raise Inconclusive("class set does not contain its own seed")
+        for k2 in rset:
+            if k2 in classified and classified[k2] != n_classes:
+                raise Inconclusive("overlapping class sets: covering failure")
+            classified[k2] = n_classes
+    if set(classified.keys()) != keys:
+        raise Inconclusive("class sets do not cover all candidates")
+    return n_classes
+
+
+def two_pass_class_set(order, units, key, B, restrict_to, budget=6_000_000):
+    rows = [list(r) for r in key]
+    inv_rows, denom = _inverse_lattice(order, rows)
+    found = set()
+    for _, y in enumerate_mod_units(order, inv_rows, denom ** 3, B * denom ** 3, units,
+                                    budget=budget):
+        _, prim = _k_content_and_primitive(order, hnf(_scale_rows(order, rows, y)))
+        k2 = tuple(tuple(r) for r in prim)
+        if k2 in restrict_to:
+            found.add(k2)
+    return found
+
+
+@pytest.fixture(scope="module")
+def cold_x5(tmp_path_factory):
+    """A cold x=5 build, recording every _cell_scan call with its sorted
+    result and every class_number call with its arguments and result."""
+    cells, orders = [], []
+    scan, count = holonomy.orders._cell_scan, holonomy.orders.class_number
+
+    def recording_scan(*args):
+        out = scan(*args)
+        cells.append((args, sorted(out)))
+        return out
+
+    def recording_count(*args):
+        res = count(*args)
+        orders.append((args, res))
+        return res
+
+    d = tmp_path_factory.mktemp("cold_x5")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holonomy.orders, "_cell_scan", recording_scan)
+        mp.setattr(holonomy.orders, "class_number", recording_count)
+        assert cli_main(["--cache", str(d / "cache.jsonl"), "enumerate", "--m", "2", "--x", "5",
+                         "--out", str(d / "x5.csv")]) == 0
+    return cells, orders
+
+
+def largest_box(run):
+    """Largest _cell_scan box (in points) over run()."""
+    scan = holonomy.orders._cell_scan
+    sizes = []
+
+    def measuring_scan(*args):
+        try:
+            scan(*args[:-1], 0)
+        except Inconclusive as e:
+            sizes.append(int(re.search(r"\((\d+) points\)", str(e)).group(1)))
+        return scan(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holonomy.orders, "_cell_scan", measuring_scan)
+        run()
+    return max(sizes)
+
+
+class TestClassNumberOracle:
+    def test_incremental_lll_scans_the_same_cells(self, cold_x5, monkeypatch):
+        cells, _ = cold_x5
+        assert len(cells) > 500
+        incremental = holonomy.orders._lll_rows_metric
+        agree = []
+
+        def gso_lll(rows, vecs):
+            out = gso_lll_rows_metric(rows, vecs)
+            agree.append(incremental(rows, vecs)[0] == out[0])
+            return out
+
+        monkeypatch.setattr(holonomy.orders, "_lll_rows_metric", gso_lll)
+        for args, got in cells:
+            assert sorted(holonomy.orders._cell_scan(*args)) == got
+        # a coefficient mu near 1/2 may round either way, so a few bases differ
+        assert sum(agree) >= 0.97 * len(agree)
+
+    def test_shared_enumeration_matches_two_passes(self, cold_x5):
+        _, orders = cold_x5
+        assert len(orders) == 20
+        edge = 0
+        for (order, units, scale, stab, budget), res in orders:
+            assert res.certified
+            assert res == two_pass_class_number(order, units, scale, stab, budget)
+            tiny = class_number(order, units, scale, stab, 1)
+            assert not tiny.certified and "box too large" in tiny.reason
+            assert tiny == two_pass_class_number(order, units, scale, stab, 1)
+            # a budget that fits every bound-B box but not every 2B box
+            b1 = largest_box(lambda: two_pass_count_at(order, units, res.bound))
+            b2 = largest_box(lambda: two_pass_count_at(order, units, res.bound2))
+            if b1 < b2:
+                edge += 1
+                got = class_number(order, units, scale, stab, b1)
+                assert got.reason.startswith("2x bound inconclusive: enumeration box too large")
+                assert got == two_pass_class_number(order, units, scale, stab, b1)
+        assert edge >= 5
+
+    def test_stability_check_off_searches_bound_b_only(self, cold_x5):
+        _, orders = cold_x5
+        for (order, units, scale, _, budget), res in orders[:5]:
+            got = class_number(order, units, scale, False, budget)
+            assert got == ClassNumberResult(res.h, False, res.bound, None, "stability check skipped")
+            assert got == two_pass_class_number(order, units, scale, False, budget)
+
+    def test_doubled_padding_gives_the_same_class_sets(self, cold_x5, monkeypatch):
+        _, orders = cold_x5
+
+        def class_sets(order, units, B2):
+            keys = set(primitive_proper_ideals(order, B2))
+            return {key: _class_set(order, units, key, B2, keys, B2, {}) for key in keys}
+
+        sample = sorted(orders, key=lambda o: o[1].bound)[:6]
+        want = [class_sets(order, units, res.bound2) for (order, units, *_), res in sample]
+        monkeypatch.setattr(holonomy.orders, "_PAD", 2 * holonomy.orders._PAD)
+        got = [class_sets(order, units, res.bound2) for (order, units, *_), res in sample]
+        assert got == want
 
 
 class TestSqrtInK:
@@ -249,6 +463,15 @@ class TestUnits:
         got = _trace_candidates(K, T)
         want = box_trace_candidates(K, T)
         assert [(x.a, x.b) for x in got] == [(x.a, x.b) for x in want]
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13, 17])
+    def test_trace_candidates_above_previous_cutoff(self, m):
+        K = make_field(m)
+        for T in (16, 32, 64):
+            full = _trace_candidates(K, T)
+            new = _trace_candidates(K, T, T / 2)
+            assert new == [x for x in full if x.approx(0) > T / 2 + 1e-9]
+            assert _trace_candidates(K, T / 2) + new == full
 
     def test_torsion_matches_shipped_cm_records(self):
         cm = {k: rec for k, rec in shipped_records().items() if rec["eps_rel"] is None}
