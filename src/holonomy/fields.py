@@ -1,8 +1,10 @@
 """Exact arithmetic in real quadratic fields K = Q(sqrt(m)).
 
 Elements are stored as a + b*w over the integral generator w (sqrt(m) for
-m = 2,3 mod 4, (1+sqrt(m))/2 for m = 1 mod 4) with Fraction coordinates.
-All order/sign decisions are made by integer arithmetic, never by floats;
+m = 2,3 mod 4, (1+sqrt(m))/2 for m = 1 mod 4). A coordinate is a Python int
+whenever its denominator is 1 and a Fraction only where a true division
+leaves a denominator, so integral elements run on integers throughout.
+All order/sign decisions are made by exact arithmetic, never by floats;
 floating enclosures are available for numerics but carry rigorous widths.
 """
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .intlinalg import hnf, in_lattice
+from .intlinalg import hnf, in_lattice, pivot_product
 
 
 class ScopeError(ValueError):
@@ -31,10 +33,28 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def sign_p_q_sqrt(p: Fraction, q: Fraction, m: int) -> int:
-    """Exact sign of p + q*sqrt(m) for rational p, q."""
-    p = Fraction(p)
-    q = Fraction(q)
+def _coord(x):
+    """x as an exact coordinate: an int, or a Fraction with denominator > 1."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        if isinstance(x, float):
+            raise TypeError(f"float coordinate {x!r}: field coordinates must be exact")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _qdiv(x, n):
+    """Exact quotient x / n of rationals (n != 0): an int when n divides x."""
+    if type(x) is int and type(n) is int:
+        q, r = divmod(x, n)
+        if not r:
+            return q
+    return _coord(Fraction(x, n))
+
+
+def sign_p_q_sqrt(p, q, m: int) -> int:
+    """Exact sign of p + q*sqrt(m) for rational p, q (ints stay ints)."""
     if q == 0:
         return 0 if p == 0 else (1 if p > 0 else -1)
     if p == 0:
@@ -53,14 +73,15 @@ def sign_p_q_sqrt(p: Fraction, q: Fraction, m: int) -> int:
 
 
 class FieldElement:
-    """Element a + b*w of K, exact rational coordinates."""
+    """Element a + b*w of K with exact coordinates: each an int when
+    integral, else a Fraction; a float coordinate raises TypeError."""
 
     __slots__ = ("field", "a", "b")
 
     def __init__(self, field: "BaseField", a, b):
         self.field = field
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is int else _coord(a)
+        self.b = b if type(b) is int else _coord(b)
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
@@ -99,7 +120,7 @@ class FieldElement:
         if n == 0:
             raise ZeroDivisionError("division by zero field element")
         num = self * o.conj()
-        return FieldElement(self.field, num.a / n, num.b / n)
+        return FieldElement(self.field, _qdiv(num.a, n), _qdiv(num.b, n))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -125,23 +146,26 @@ class FieldElement:
         tw = self.field._trace_w
         return FieldElement(self.field, self.a + self.b * tw, -self.b)
 
-    def norm(self) -> Fraction:
+    def norm(self):
         c0, c1 = self.field._w2
         # N(a + bw) = a^2 + ab*tr(w) - b^2 * (w*conj(w)) ; w*wbar = -c0 when tr=c1
-        return self.a * self.a + self.a * self.b * c1 - self.b * self.b * c0
+        return _coord(self.a * self.a + self.a * self.b * c1 - self.b * self.b * c0)
 
-    def trace(self) -> Fraction:
-        return 2 * self.a + self.b * self.field._trace_w
+    def trace(self):
+        return _coord(2 * self.a + self.b * self.field._trace_w)
 
     def sqrt_coords(self):
-        """(p, q) with self = p + q*sqrt(m)."""
+        """(p, q) with self = p + q*sqrt(m), exact."""
         if self.field._half_basis:
-            return (self.a + self.b / 2, self.b / 2)
+            return (_qdiv(2 * self.a + self.b, 2), _qdiv(self.b, 2))
         return (self.a, self.b)
 
     def sign(self, place: int) -> int:
-        p, q = self.sqrt_coords()
-        return sign_p_q_sqrt(p, q if place == 0 else -q, self.field.m)
+        # 2*self = (2a + b) + b*sqrt(m) when w = (1 + sqrt(m))/2: same sign
+        a, b = self.a, self.b
+        if self.field._half_basis:
+            a = 2 * a + b
+        return sign_p_q_sqrt(a, b if place == 0 else -b, self.field.m)
 
     def cmp(self, other, place: int) -> int:
         """Exact comparison of embeddings: sign of iota(self - other)."""
@@ -163,8 +187,18 @@ class FieldElement:
         return (p + q * hi_s, p + q * lo_s)
 
     def approx(self, place: int) -> float:
-        lo, hi = self.embed(place, 64)
-        return float((lo + hi) / 2)
+        """The float nearest the midpoint of embed(place, 64), by one
+        correctly rounded integer division: p +- q*(2L + 1)/2^(k+1) with
+        sqrt(m) in [L/2^k, (L+1)/2^k]."""
+        p, q = self.sqrt_coords()
+        if q == 0:
+            return float(p)
+        k = 66 + max(q.numerator.bit_length(), 1)
+        s = 2 * math.isqrt(self.field.m << (2 * k)) + 1
+        if place == 1:
+            s = -s
+        pd, qd = p.denominator, q.denominator
+        return (p.numerator * qd * (2 << k) + q.numerator * pd * s) / (pd * qd * (2 << k))
 
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
@@ -254,13 +288,7 @@ class IdealK:
 
     @property
     def norm(self) -> int:
-        d = 1
-        j = 0
-        for r in self.rows:
-            while j < len(r) and r[j] == 0:
-                j += 1
-            d *= r[j]
-        return abs(d)
+        return pivot_product(self.rows)
 
     def generator(self, field: "BaseField") -> FieldElement:
         return FieldElement(field, self.gen_a, self.gen_b)
@@ -282,7 +310,7 @@ def ideal_of_element(x: FieldElement) -> IdealK:
     if not x.is_integral() or (x.a == 0 and x.b == 0):
         raise ValueError("need a nonzero integral element")
     xw = x * x.field.w()
-    rows = hnf([[int(x.a), int(x.b)], [int(xw.a), int(xw.b)]])
+    rows = hnf([[x.a, x.b], [xw.a, xw.b]])
     return IdealK(x.field.m, tuple(tuple(r) for r in rows), x.a, x.b)
 
 
@@ -297,18 +325,19 @@ class BaseField:
         self._half_basis = m % 4 == 1
         if self._half_basis:
             self.disc = m
-            self._w2 = (Fraction(m - 1, 4), Fraction(1))  # w^2 = (m-1)/4 + w
-            self._trace_w = Fraction(1)
+            self._w2 = ((m - 1) // 4, 1)  # w^2 = (m-1)/4 + w
+            self._trace_w = 1
         else:
             self.disc = 4 * m
-            self._w2 = (Fraction(m), Fraction(0))
-            self._trace_w = Fraction(0)
+            self._w2 = (m, 0)
+            self._trace_w = 0
         self._sqrt_cache: dict[int, tuple[Fraction, Fraction]] = {}
         self._gen_cache: dict = {}
         self._prime_cache: dict[int, list] = {}
+        self._factor_cache: dict[tuple, tuple] = {}
         self._norm_table: tuple[int, dict] | None = None
         self.eps = self._fundamental_unit()
-        self.eps_norm = int(self.eps.norm())
+        self.eps_norm = self.eps.norm()
         self._eps_xy = self._xy(self.eps)
         assert abs(self.eps_norm) == 1
         assert self.eps.sign(0) > 0 and self.eps.cmp(1, 0) > 0
@@ -319,8 +348,6 @@ class BaseField:
         return FieldElement(self, a, b)
 
     def from_sqrt_coords(self, p, q) -> FieldElement:
-        p = Fraction(p)
-        q = Fraction(q)
         if self._half_basis:
             return FieldElement(self, p - q, 2 * q)
         return FieldElement(self, p, q)
@@ -480,7 +507,7 @@ class BaseField:
 
     def _xy(self, x: FieldElement):
         """Integers (X, Y) with x = (X + Y*sqrt(m))/c, for integral x."""
-        a, b = int(x.a), int(x.b)
+        a, b = x.a, x.b
         return (2 * a + b, b) if self._half_basis else (a, b)
 
     def _from_xy(self, X: int, Y: int) -> FieldElement:
@@ -499,6 +526,20 @@ class BaseField:
         e1, e2 = self._eps_xy
         s = self.eps_norm
         return not (s * (X * e1 - self.m * Y * e2) >= 0 and s * (Y * e1 - X * e2) >= 0)
+
+    def trace_strip(self, R: float):
+        """Elements a + b*w with |iota_1| < 2, padded by one value of a on
+        each side, for |b| <= (R + 2)/(iota_0(w) - iota_1(w)) + 2.
+
+        A superset of the x with |iota_0(x)| <= R and |iota_1(x)| < 2, since
+        b*(iota_0(w) - iota_1(w)) = iota_0(x) - iota_1(x): O(R) elements, and
+        each caller makes its own exact tests. Symmetric under x -> -x.
+        """
+        w0, w1 = self.w().approx(0), self.w().approx(1)
+        bmax = int((R + 2) / abs(w0 - w1)) + 2
+        for b in range(-bmax, bmax + 1):
+            for a in range(math.floor(-2 - b * w1) - 1, math.ceil(2 - b * w1) + 2):
+                yield FieldElement(self, a, b)
 
     def canonical_associate(self, x: FieldElement) -> FieldElement:
         """Associate of x with iota_0 > 0 and iota_0 in [sqrt|N|, sqrt|N|*eps),
@@ -526,14 +567,8 @@ class BaseField:
         key = tuple(tuple(r) for r in H)
         if key in self._gen_cache:
             return self._gen_cache[key]
-        n = 1
-        j = 0
-        for r in H:
-            while r[j] == 0:
-                j += 1
-            n *= abs(r[j])
         result = None
-        for cand in self.elements_of_norm(n, H):
+        for cand in self.elements_of_norm(pivot_product(H), H):
             ci = ideal_of_element(cand)
             if ci.rows == key:
                 result = cand
@@ -547,7 +582,7 @@ def _lattice_conj(field: BaseField, rows):
     new = []
     for r in rows:
         x = field.elt(r[0], r[1]).conj()
-        new.append([int(x.a), int(x.b)])
+        new.append([x.a, x.b])
     return hnf(new)
 
 
@@ -559,7 +594,7 @@ def _lattice_product(field: BaseField, rows_a, rows_b):
         for rb in rows_b:
             xb = field.elt(rb[0], rb[1])
             p = xa * xb
-            gens.append([int(p.a), int(p.b)])
+            gens.append([p.a, p.b])
     return hnf(gens)
 
 
@@ -720,30 +755,37 @@ def _find_prime_elements(field: BaseField, ell: int):
     return [pi, pib]
 
 
+def valuation(x: FieldElement, pi: FieldElement):
+    """(v, x / pi^v) with v the valuation of x at the prime (pi)."""
+    v = 0
+    while (q := x / pi).is_integral():
+        x, v = q, v + 1
+    return v, x
+
+
 def factor_element(x: FieldElement):
-    """x = unit * prod(pi^e) over prime elements; exact, h_K = 1 scope."""
+    """x = unit * prod(pi^e) over prime elements; exact, h_K = 1 scope.
+
+    Memoised per field by the coordinates of x; each call gets a fresh list.
+    """
     field = x.field
     if field.h_K != 1:
         raise ScopeError("element factorization requires h_K = 1")
     if not x.is_integral() or (x.a == 0 and x.b == 0):
         raise ValueError("need nonzero integral element")
-    n = int(x.norm())
-    fac = []
-    rem = x
-    for ell in sorted(_factorint(n)):
-        for pi in prime_elements_above(field, ell):
-            e = 0
-            while True:
-                q = rem / pi
-                if q.is_integral():
-                    rem = q
-                    e += 1
-                else:
-                    break
-            if e:
-                fac.append((pi, e))
-    assert abs(rem.norm()) == 1, "leftover non-unit after factorization"
-    return rem, fac
+    key = (x.a, x.b)
+    if key not in field._factor_cache:
+        fac = []
+        rem = x
+        for ell in sorted(_factorint(x.norm())):
+            for pi in prime_elements_above(field, ell):
+                e, rem = valuation(rem, pi)
+                if e:
+                    fac.append((pi, e))
+        assert abs(rem.norm()) == 1, "leftover non-unit after factorization"
+        field._factor_cache[key] = (rem, tuple(fac))
+    unit, fac = field._factor_cache[key]
+    return unit, list(fac)
 
 
 def square_divisor_splits(D: FieldElement):

@@ -6,8 +6,6 @@ Everything here is dimension-4-or-less and exact; no floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def hnf(rows):
     """Row Hermite normal form of an integer matrix.
@@ -61,9 +59,20 @@ def hnf_key(rows):
     return tuple(tuple(r) for r in hnf(rows))
 
 
+def pivot_product(hnf_rows) -> int:
+    """Product of the pivots of a full-rank row HNF: the index of its lattice."""
+    d = 1
+    j = 0
+    for r in hnf_rows:
+        while r[j] == 0:
+            j += 1
+        d *= r[j]
+    return abs(d)
+
+
 def in_lattice(vec, hnf_rows):
     """Exact membership of an integer/rational vector in the row lattice."""
-    v = [Fraction(x) for x in vec]
+    v = list(vec)
     n = len(v)
     for r in hnf_rows:
         j = 0
@@ -73,8 +82,8 @@ def in_lattice(vec, hnf_rows):
             continue
         if v[j] == 0:
             continue
-        q = v[j] / r[j]
-        if q.denominator != 1:
+        q, rem = divmod(v[j], r[j])
+        if rem:
             return False
         for i in range(j, n):
             v[i] -= q * r[i]

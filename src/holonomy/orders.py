@@ -40,8 +40,9 @@ from .fields import (
     format_element,
     ideal_of_element,
     square_divisor_splits,
+    valuation,
 )
-from .intlinalg import congruence_lattice, hnf, hnf_key, in_lattice
+from .intlinalg import congruence_lattice, hnf, hnf_key, in_lattice, pivot_product
 
 UNKNOWN = "UNKNOWN"
 
@@ -83,19 +84,18 @@ def sqrt_in_K(x: FieldElement):
     if nrm is None:
         return None
     for s in (nrm, -nrm):
-        u2 = (p + s) / 2
-        u = sqrt_fraction(u2)
+        u = sqrt_fraction(Fraction(p + s, 2))
         if u is None:
             continue
         if u == 0:
             if q != 0:
                 continue
-            v2 = sqrt_fraction(p / K.m) if p != 0 else Fraction(0)
+            v2 = sqrt_fraction(Fraction(p, K.m)) if p != 0 else 0
             if v2 is None:
                 continue
             cand = K.from_sqrt_coords(0, v2)
         else:
-            cand = K.from_sqrt_coords(u, q / (2 * u))
+            cand = K.from_sqrt_coords(u, Fraction(q, 2 * u))
         if cand * cand == x:
             return cand
         if (-cand) * (-cand) == x:
@@ -152,7 +152,8 @@ class LatticeSpec:
 class RelativeQuadraticOrder:
     """The order attached to (D, d || (D)), as a rank-4 lattice over Z."""
 
-    def __init__(self, field: BaseField, D: FieldElement, d_ideal: IdealK):
+    def __init__(self, field: BaseField, D: FieldElement, d_ideal: IdealK,
+                 f_ideal: IdealK | None = None):
         if field.h_K != 1:
             raise ScopeError("relative orders require h_K = 1")
         if D.a == 0 and D.b == 0:
@@ -162,17 +163,16 @@ class RelativeQuadraticOrder:
         self.field = field
         self.D = D
         self.d_ideal = d_ideal
-        # locate the split: (D) = d * f^2 with f generating the square part
-        f_elt = None
-        for dd, ff in square_divisor_splits(D):
-            if dd.rows == d_ideal.rows:
-                f_elt = ff.generator(field)
-                break
-        if f_elt is None:
-            raise ValueError("d does not satisfy d || (D)")
-        self.f_elt = f_elt
-        self.Dred = D / (f_elt * f_elt)
-        assert self.Dred.is_integral()
+        # the split (D) = d * f^2, f generating the square part: passed in by
+        # callers that hold the split list, else looked up in it
+        if f_ideal is None:
+            f_ideal = next((ff for dd, ff in square_divisor_splits(D) if dd.rows == d_ideal.rows), None)
+            if f_ideal is None:
+                raise ValueError("d does not satisfy d || (D)")
+        self.f_elt = f_ideal.generator(field)
+        self.Dred = D / (self.f_elt * self.f_elt)
+        if not self.Dred.is_integral() or ideal_of_element(self.Dred).rows != d_ideal.rows:
+            raise ValueError("d does not satisfy d || (D) with the given f")
         self._canonicalize_dred()
         s0, s1 = self.Dred.sign(0), self.Dred.sign(1)
         if s0 > 0 and s1 < 0:
@@ -219,14 +219,13 @@ class RelativeQuadraticOrder:
         # z-basis over (1, w, r, w r), scaled by 2 to integer rows
         rows = []
         for base in (K.one(), K.w()):
-            rows.append([int(2 * base.a), int(2 * base.b), 0, 0])
-            rows.append([0, 0, int(2 * base.a), int(2 * base.b)])
+            rows.append([2 * base.a, 2 * base.b, 0, 0])
+            rows.append([0, 0, 2 * base.a, 2 * base.b])
         for a, b in sols:
-            rows.append([int(a.a), int(a.b), int(b.a), int(b.b)])
+            rows.append([a.a, a.b, b.a, b.b])
         self._rows2 = hnf(rows)  # integer rows = 2 * coordinates over (1,w,r,wr)
-        self.z_basis = [[Fraction(x, 2) for x in row] for row in self._rows2]
         # the ideal of sqrt coefficients and a module generator xi
-        bideal_rows = hnf([[2, 0], [0, 2]] + [[int(b.a), int(b.b)] for _, b in sols])
+        bideal_rows = hnf([[2, 0], [0, 2]] + [[b.a, b.b] for _, b in sols])
         bg = K.principal_generator(bideal_rows)
         assert bg is not None
         a0 = None
@@ -238,7 +237,7 @@ class RelativeQuadraticOrder:
         self.xi_a = a0  # xi = (xi_a + xi_b * sqrt(Dred)) / 2
         self.xi_b = bg
         self.p_coef = a0
-        self.q_coef = -(a0 * a0 - bg * bg * Dr) * Fraction(1, 4)
+        self.q_coef = (bg * bg * Dr - a0 * a0) / 4
         assert self.p_coef.is_integral() and self.q_coef.is_integral()
         # realized relative discriminant (xi - conj xi)^2 = bg^2 Dred
         self.realized_disc = ideal_of_element(bg * bg * Dr)
@@ -247,11 +246,16 @@ class RelativeQuadraticOrder:
         xi_rows = [
             [2, 0, 0, 0],
             [0, 2, 0, 0],
-            [int(a0.a), int(a0.b), int(bg.a), int(bg.b)],
+            [a0.a, a0.b, bg.a, bg.b],
         ]
         wxi = (K.w() * a0, K.w() * bg)
-        xi_rows.append([int(wxi[0].a), int(wxi[0].b), int(wxi[1].a), int(wxi[1].b)])
+        xi_rows.append([wxi[0].a, wxi[0].b, wxi[1].a, wxi[1].b])
         assert hnf_key(xi_rows) == hnf_key(self._rows2), "order is not O_K[xi]"
+
+    @property
+    def z_basis(self):
+        """Z-basis of the order, exact coordinates over (1, w, r, w r)."""
+        return [[Fraction(x, 2) for x in row] for row in self._rows2]
 
     # -- element helpers (u + v xi with u, v in O_K as int pairs) ------------
     def mul(self, x, y):
@@ -259,16 +263,16 @@ class RelativeQuadraticOrder:
         K = self.field
         u1, v1 = x
         u2, v2 = y
-        p = (int(self.p_coef.a), int(self.p_coef.b))
-        q = (int(self.q_coef.a), int(self.q_coef.b))
-        u = _kadd(K, _kmul(K, u1, u2), _kmul(K, _kmul(K, v1, v2), q))
-        v = _kadd(K, _kadd(K, _kmul(K, u1, v2), _kmul(K, u2, v1)), _kmul(K, _kmul(K, v1, v2), p))
+        _, _, p, q = self._int_consts()
+        vv = _kmul(K, v1, v2)
+        u = _kadd(_kmul(K, u1, u2), _kmul(K, vv, q))
+        v = _kadd(_kadd(_kmul(K, u1, v2), _kmul(K, u2, v1)), _kmul(K, vv, p))
         return (u, v)
 
     def rel_conj(self, x):
         K = self.field
         u, v = x
-        return (_kadd(K, u, _kmul(K, v, (int(self.p_coef.a), int(self.p_coef.b)))), _kneg(v))
+        return (_kadd(u, _kmul(K, v, self._int_consts()[2])), (-v[0], -v[1]))
 
     def rel_norm(self, x) -> FieldElement:
         K = self.field
@@ -296,11 +300,7 @@ class RelativeQuadraticOrder:
     def _int_consts(self):
         if not hasattr(self, "_ic"):
             K = self.field
-            self._ic = (
-                int(K._w2[0]), int(K._w2[1]),
-                (int(self.p_coef.a), int(self.p_coef.b)),
-                (int(self.q_coef.a), int(self.q_coef.b)),
-            )
+            self._ic = (*K._w2, (self.p_coef.a, self.p_coef.b), (self.q_coef.a, self.q_coef.b))
         return self._ic
 
     def rel_trace(self, x) -> FieldElement:
@@ -315,10 +315,10 @@ class RelativeQuadraticOrder:
         """Element (a + b sqrt(Dred))/2 in xi coordinates, or None if not in O."""
         # (a + b r)/2 = u + v xi with v = b/xi_b, u = (a - v xi_a)/2
         v = b / self.xi_b
-        u = (a - v * self.xi_a) * Fraction(1, 2)
+        u = (a - v * self.xi_a) / 2
         if not (u.is_integral() and v.is_integral()):
             return None
-        return ((int(u.a), int(u.b)), (int(v.a), int(v.b)))
+        return ((u.a, u.b), (v.a, v.b))
 
     def to_sqrt_form(self, x):
         """(a, b) field elements with x = (a + b sqrt(Dred))/2."""
@@ -362,24 +362,22 @@ class RelativeQuadraticOrder:
 
 
 def _kmul(K: BaseField, x, y):
-    c0, c1 = int(K._w2[0]), int(K._w2[1])
+    c0, c1 = K._w2
     a, b = x
     c, d = y
     bd = b * d
     return (a * c + bd * c0, a * d + b * c + bd * c1)
 
 
-def _kadd(K: BaseField, x, y):
+def _kadd(x, y):
     return (x[0] + y[0], x[1] + y[1])
 
 
-def _kneg(x):
-    return (-x[0], -x[1])
-
-
-def build_order(field: BaseField, D: FieldElement, d_ideal: IdealK) -> RelativeQuadraticOrder:
-    """Order for the split d || (D); see RelativeQuadraticOrder."""
-    return RelativeQuadraticOrder(field, D, d_ideal)
+def build_order(field: BaseField, D: FieldElement, d_ideal: IdealK,
+                f_ideal: IdealK | None = None) -> RelativeQuadraticOrder:
+    """Order for the split (D) = d * f^2; see RelativeQuadraticOrder. Without
+    f_ideal, f is looked up in square_divisor_splits(D)."""
+    return RelativeQuadraticOrder(field, D, d_ideal, f_ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -424,28 +422,18 @@ def relative_fundamental_unit(order: RelativeQuadraticOrder, iota0_cap: float = 
 def _trace_candidates(K: BaseField, T: float, T_prev: float | None = None):
     """Elements a of O_K with 2 < iota_0(a) <= T and |iota_1(a)| < 2, ordered;
     with T_prev, only those whose iota_0 is above T_prev."""
-    out = []
-    w0 = K.w().approx(0)
-    w1 = K.w().approx(1)
-    amax = int((T + 2) / 2 + 2)
-    bmax = int((T + 2) / abs(w0 - w1) + 2)
-    for b in range(-bmax, bmax + 1):
-        # |iota_1(a + b w)| < 2 leaves at most 4 values of a; pad by one
-        lo = max(-amax, math.floor(-2 - b * w1) - 1)
-        hi = min(amax, math.ceil(2 - b * w1) + 1)
-        for a in range(lo, hi + 1):
-            x = K.elt(a, b)
-            if x.sign(0) < 0:
-                x = -x
-            if (x - 2).sign(0) <= 0:
-                continue
-            v = x.approx(0)
-            if v > T + 1e-9 or (T_prev is not None and v <= T_prev + 1e-9):
-                continue
-            if not ((x - 2).sign(1) < 0 and (x + 2).sign(1) > 0):
-                continue
-            out.append(x)
-    uniq = {(x.a, x.b): x for x in out}
+    uniq = {}
+    for x in K.trace_strip(T):
+        if x.sign(0) < 0:
+            x = -x
+        if (x - 2).sign(0) <= 0:
+            continue
+        v = x.approx(0)
+        if v > T + 1e-9 or (T_prev is not None and v <= T_prev + 1e-9):
+            continue
+        if not ((x - 2).sign(1) < 0 and (x + 2).sign(1) > 0):
+            continue
+        uniq[x.a, x.b] = x
     return sorted(uniq.values(), key=lambda z: (z.approx(0), z.a, z.b))
 
 
@@ -714,10 +702,9 @@ def _ideal_lattice_rows(order, a: FieldElement, b: FieldElement):
     rows = []
     for mult in (K.one(), K.w()):
         xa = mult * a
-        rows.append([int(xa.a), int(xa.b), 0, 0])
+        rows.append([xa.a, xa.b, 0, 0])
         xb = mult * b
-        xw = mult
-        rows.append([int(xb.a), int(xb.b), int(xw.a), int(xw.b)])
+        rows.append([xb.a, xb.b, mult.a, mult.b])
     return hnf(rows)
 
 
@@ -735,14 +722,15 @@ def primitive_proper_ideals(order, bound: int):
     gens = [(1, [K.one()])] + sorted((n, lst) for n, lst in by_norm.items() if n > 1)
     for na, lst in gens:
         for a in lst:
-            ai = (int(a.a), int(a.b))
+            ai = (a.a, a.b)
             ia = ideal_of_element(a)
             (h00, h01), (_, h11) = ia.rows
             arows = [list(ia.rows[0]), list(ia.rows[1])]
-            for i in range(int(h00)):
-                for j in range(int(h11)):
+            for i in range(h00):
+                for j in range(h11):
                     bi = (i, j)
-                    g = _kadd(K, _kadd(K, _kmul(K, bi, bi), _kmul(K, pi, bi)), _kneg(qi))
+                    g = _kadd(_kmul(K, bi, bi), _kmul(K, pi, bi))
+                    g = (g[0] - qi[0], g[1] - qi[1])
                     # divisibility g in (a) and the integer quotient g/a
                     if not in_lattice([g[0], g[1]], arows):
                         continue
@@ -762,10 +750,10 @@ def primitive_proper_ideals(order, bound: int):
 
 def _kdiv_exact(K: BaseField, x, y):
     """x / y for int pairs when exact, via x * conj(y) / N(y); else None."""
-    c1 = int(K._w2[1])
+    c0, c1 = K._w2
     yc = (y[0] + c1 * y[1], -y[1])
     num = _kmul(K, x, yc)
-    nrm = y[0] * y[0] + y[0] * y[1] * c1 - y[1] * y[1] * int(K._w2[0])
+    nrm = y[0] * y[0] + y[0] * y[1] * c1 - y[1] * y[1] * c0
     if nrm == 0:
         return None
     if num[0] % nrm or num[1] % nrm:
@@ -776,7 +764,7 @@ def _kdiv_exact(K: BaseField, x, y):
 def _k_module_rows(K: BaseField, elts):
     """Integer rows spanning the O_K-module generated by int pairs: x and x*w."""
     rows = []
-    c0, c1 = int(K._w2[0]), int(K._w2[1])
+    c0, c1 = K._w2
     for x in elts:
         rows.append([x[0], x[1]])
         # x * w = (c0*x1, x0 + c1*x1)
@@ -790,12 +778,7 @@ def _gcd_is_unit_int(K: BaseField, elts) -> bool:
 
 def _inverse_lattice(order, rows):
     """Lattice of x with x * J subseteq O, as (rows, denom)."""
-    n = 1
-    j = 0
-    for r in rows:
-        while r[j] == 0:
-            j += 1
-        n *= abs(r[j])
+    n = pivot_product(rows)
     # multiplication matrices of the 4 generators
     stacked = []
     for r in rows:
@@ -829,14 +812,22 @@ def _scale_rows(order, rows, x):
 
 
 def _k_content_and_primitive(order, rows):
-    """Largest c in O_K with rows = c * rows'; returns (c, HNF of rows')."""
+    """Largest c in O_K with rows = c * rows'; returns (c, HNF of rows').
+
+    The content ideal holds N(e) = e * conj(e) for each O_K-entry e, so when
+    those norms are coprime the content is 1 and no HNF of it is needed.
+    """
     K = order.field
-    H = hnf(_k_module_rows(K, [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]))
+    c0, c1 = K._w2
+    gens = [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]
+    if math.gcd(*(a * a + a * b * c1 - b * b * c0 for a, b in gens)) == 1:
+        return K.one(), hnf(rows)
+    H = hnf(_k_module_rows(K, gens))
     if H == [[1, 0], [0, 1]]:
         return K.one(), hnf(rows)
     c = K.principal_generator(H)
     assert c is not None
-    ci = (int(c.a), int(c.b))
+    ci = (c.a, c.b)
     prim = []
     for r in rows:
         u = _kdiv_exact(K, (r[0], r[1]), ci)
@@ -901,7 +892,7 @@ def _class_count_at(order, units, B: int, cands, top: int, searches: dict,
     keys = set(cands.keys())
     classified: dict = {}
     n_classes = 0
-    for key in sorted(keys, key=lambda k: (abs_det_of(k), k)):
+    for key in sorted(keys, key=lambda k: (pivot_product(k), k)):
         if key in classified:
             continue
         n_classes += 1
@@ -915,16 +906,6 @@ def _class_count_at(order, units, B: int, cands, top: int, searches: dict,
     if set(classified.keys()) != keys:
         raise Inconclusive("class sets do not cover all candidates")
     return n_classes
-
-
-def abs_det_of(key) -> int:
-    d = 1
-    j = 0
-    for r in key:
-        while j < len(r) and r[j] == 0:
-            j += 1
-        d *= abs(r[j])
-    return d
 
 
 def _class_set(order, units, key, B: int, restrict_to, top: int, searches: dict,
@@ -943,7 +924,7 @@ def _class_set(order, units, key, B: int, restrict_to, top: int, searches: dict,
     the bound-B window holds is in that list. If the top search is
     inconclusive (its box exceeds budget), the seed is searched at B itself.
     """
-    nmax = B * abs_det_of(key) ** 3
+    nmax = B * pivot_product(key) ** 3
     for bound in (top, B) if top > B else (top,):
         if (key, bound) not in searches:
             try:
@@ -1038,34 +1019,16 @@ def _generated_subgroup(hits: set) -> set:
 
 def local_splitting(field: BaseField, p_gen: FieldElement, Dred: FieldElement) -> str:
     """Splitting of the prime (p_gen) in K(sqrt(Dred)): split/inert/ramified."""
-    v = 0
-    x = Dred
-    while True:
-        q = x / p_gen
-        if q.is_integral():
-            x = q
-            v += 1
-        else:
-            break
+    v, u0 = valuation(Dred, p_gen)
     if v % 2 == 1:
         return "ramified"
-    u0 = x
-    np_ = abs(int(p_gen.norm()))
+    np_ = abs(p_gen.norm())
     if np_ % 2 == 1:
         if _is_residue_square(field, p_gen, u0):
             return "split"
         return "inert"
     # dyadic prime: square tests modulo pi^(2e) and pi^(2e+1)
-    e = 0
-    two = field.elt(2)
-    x2 = two
-    while True:
-        q = x2 / p_gen
-        if q.is_integral():
-            x2 = q
-            e += 1
-        else:
-            break
+    e, _ = valuation(field.elt(2), p_gen)
     if _square_mod_pi_power(field, p_gen, u0, 2 * e + 1):
         return "split"
     if _square_mod_pi_power(field, p_gen, u0, 2 * e):
@@ -1074,7 +1037,7 @@ def local_splitting(field: BaseField, p_gen: FieldElement, Dred: FieldElement) -
 
 
 def _is_residue_square(field: BaseField, p_gen: FieldElement, u: FieldElement) -> bool:
-    np_ = abs(int(p_gen.norm()))
+    np_ = abs(p_gen.norm())
     ip = ideal_of_element(p_gen)
     if _is_prime_int(np_):
         # degree-1: find t with w = t mod p
@@ -1085,19 +1048,19 @@ def _is_residue_square(field: BaseField, p_gen: FieldElement, u: FieldElement) -
                 t = cand
                 break
         assert t is not None
-        val = (int(u.a) + int(u.b) * t) % ell
+        val = (u.a + u.b * t) % ell
         if val == 0:
             raise ValueError("unit part reduced to zero mod p")
         return pow(val, (ell - 1) // 2, ell) == 1
     # inert rational prime ell: residue field F_{ell^2}
     ell = math.isqrt(np_)
     assert ell * ell == np_
-    return _ff2_is_square(field, ell, (int(u.a) % ell, int(u.b) % ell))
+    return _ff2_is_square(field, ell, (u.a % ell, u.b % ell))
 
 
 def _ff2_is_square(field: BaseField, ell: int, u) -> bool:
     """Squareness in F_ell[w]/(w^2 - c1 w - c0)."""
-    c0, c1 = int(field._w2[0]) % ell, int(field._w2[1]) % ell
+    c0, c1 = field._w2[0] % ell, field._w2[1] % ell
 
     def mul(x, y):
         a, b = x
@@ -1122,8 +1085,8 @@ def _square_mod_pi_power(field: BaseField, p_gen: FieldElement, u: FieldElement,
     pk = p_gen ** k
     ipk = ideal_of_element(pk)
     (p, q), (z, r) = ipk.rows
-    for i in range(int(p)):
-        for j in range(int(r)):
+    for i in range(p):
+        for j in range(r):
             x = field.elt(i, j)
             if ipk.contains(x * x - u):
                 return True
@@ -1154,36 +1117,35 @@ def local_embedding_factor(order: RelativeQuadraticOrder, p: IdealK, spec: Latti
 
 
 def _maximal_at(order: RelativeQuadraticOrder, p_gen: FieldElement) -> bool:
-    """Is the order maximal at (p_gen)? Compared against the minimal realizable
-    relative discriminant over the full split list of its own D."""
+    """Is the order maximal at (p_gen)? Compared against the relative
+    discriminant of the maximal order of its field K(sqrt D)."""
     dmax = maximal_order_disc(order.field, order.D)
     return _val_at(order.field, order.realized_disc, p_gen) == _val_at(order.field, dmax, p_gen)
 
 
 def _val_at(field: BaseField, ideal: IdealK, p_gen: FieldElement) -> int:
-    g = ideal.generator(field)
-    v = 0
-    while True:
-        q = g / p_gen
-        if q.is_integral():
-            g = q
-            v += 1
-        else:
-            break
-    return v
+    return valuation(ideal.generator(field), p_gen)[0]
 
 
 _MAXDISC_CACHE: dict = {}
 
 
 def maximal_order_disc(field: BaseField, D: FieldElement) -> IdealK:
-    """Relative discriminant of the maximal order of K(sqrt D)."""
-    key = (field.m, format_element(canonical_square_class(D)))
+    """Relative discriminant of the maximal order of K(sqrt D), for any D of
+    its square class.
+
+    With D0 = canonical_square_class(D), O_K[sqrt D0] has discriminant 4*D0,
+    so the maximal order's discriminant d_L divides 4*D0 with a square
+    quotient: it is the least realized discriminant among the realizable
+    splits of 4*D0.
+    """
+    D0 = canonical_square_class(D)
+    key = (field.m, format_element(D0))
     if key in _MAXDISC_CACHE:
         return _MAXDISC_CACHE[key]
     best = None
-    for dd, ff in square_divisor_splits(D):
-        o = RelativeQuadraticOrder(field, D, dd)
+    for dd, ff in square_divisor_splits(4 * D0):
+        o = RelativeQuadraticOrder(field, 4 * D0, dd, ff)
         if o.realizable and (best is None or o.realized_disc.norm < best.norm):
             best = o.realized_disc
     assert best is not None
@@ -1371,12 +1333,12 @@ def compute_arithmetic(order: RelativeQuadraticOrder, cache: OrderCache | None =
 
 def _base_unit(order):
     K = order.field
-    return ((int(K.eps.a), int(K.eps.b)), (0, 0))
+    return ((K.eps.a, K.eps.b), (0, 0))
 
 
 def _coords_to_json(x):
     (ua, ub), (va, vb) = x
-    return [int(ua), int(ub), int(va), int(vb)]
+    return [ua, ub, va, vb]
 
 
 def _coords_from_json(v):

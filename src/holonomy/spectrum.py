@@ -128,10 +128,7 @@ def is_hyperbolic_elliptic_trace(field: BaseField, t: FieldElement) -> bool:
 
 
 def is_elliptic_trace(field: BaseField, t: FieldElement) -> bool:
-    ok = True
-    for place in (0, 1):
-        ok = ok and (t - 2).sign(place) < 0 and (t + 2).sign(place) > 0
-    return ok
+    return all((t - 2).sign(place) < 0 and (t + 2).sign(place) > 0 for place in (0, 1))
 
 
 def canonical_trace_sign(t: FieldElement) -> FieldElement:
@@ -144,52 +141,38 @@ def canonical_trace_sign(t: FieldElement) -> FieldElement:
 def enumerate_traces(field: BaseField, x: float) -> list[FieldElement]:
     """All hyperbolic-elliptic traces with length <= x, up to sign.
 
-    Lattice-point scan over the coordinate box obtained by inverting the
-    embedding map; all inequality decisions exact, the length cutoff at
-    96-bit precision. Ordered by iota_0 then lexicographically.
+    Scans the O(R) strip |iota_1| < 2 of BaseField.trace_strip, with
+    R = 2 cosh(x/2) >= |iota_0|; all inequality decisions exact, the length
+    cutoff at 96-bit precision. Ordered by iota_0 then lexicographically.
     """
     if x <= 0:
         raise ValueError("cutoff must be positive")
-    R = 2 * math.cosh(x / 2)
-    w0 = field.w().approx(0)
-    w1 = field.w().approx(1)
-    bmax = int((R + 2) / abs(w0 - w1)) + 2
-    amax = int((R + 2) / 2) + 2
     out = []
     seen = set()
-    for b in range(-bmax, bmax + 1):
-        for a in range(-amax, amax + 1):
-            t = canonical_trace_sign(field.elt(a, b))
-            key = (t.a, t.b)
-            if key in seen:
-                continue
-            if not is_hyperbolic_elliptic_trace(field, t):
-                continue
-            seen.add(key)
-            if trace_length(field, t) <= x + 1e-12:
-                out.append(t)
+    for t in field.trace_strip(2 * math.cosh(x / 2)):
+        t = canonical_trace_sign(t)
+        key = (t.a, t.b)
+        if key in seen or not is_hyperbolic_elliptic_trace(field, t):
+            continue
+        seen.add(key)
+        if trace_length(field, t) <= x + 1e-12:
+            out.append(t)
     out.sort(key=lambda z: (z.approx(0), z.a, z.b))
     return out
 
 
 def enumerate_elliptic_traces(field: BaseField) -> list[FieldElement]:
-    """All elliptic traces (every embedding inside (-2,2)), up to sign."""
-    w0 = field.w().approx(0)
-    w1 = field.w().approx(1)
-    bmax = int(4 / abs(w0 - w1)) + 2
-    amax = 4
+    """All elliptic traces (every embedding inside (-2,2)), up to sign:
+    the part of BaseField.trace_strip(2) that passes the exact test."""
     out = []
     seen = set()
-    for b in range(-bmax, bmax + 1):
-        for a in range(-amax, amax + 1):
-            t = canonical_trace_sign(field.elt(a, b))
-            key = (t.a, t.b)
-            if key in seen:
-                continue
-            if not is_elliptic_trace(field, t):
-                continue
-            seen.add(key)
-            out.append(t)
+    for t in field.trace_strip(2):
+        t = canonical_trace_sign(t)
+        key = (t.a, t.b)
+        if key in seen or not is_elliptic_trace(field, t):
+            continue
+        seen.add(key)
+        out.append(t)
     out.sort(key=lambda z: (z.approx(0), abs(z.a), abs(z.b), z.a, z.b))
     return out
 
@@ -207,13 +190,11 @@ def primitive_decomposition(order: RelativeQuadraticOrder, arith, t: FieldElemen
     rho = order.embeddings(alpha)[0]
     i0 = max(abs(rho[0]), abs(rho[1]))
     q0 = max(1, round(math.log(i0) / arith.reg))
-    alpha_i = ((int(alpha[0][0]), int(alpha[0][1])), (int(alpha[1][0]), int(alpha[1][1])))
-    conj = order.rel_conj(alpha_i)
-    conj = ((int(conj[0][0]), int(conj[0][1])), (int(conj[1][0]), int(conj[1][1])))
+    conj = order.rel_conj(alpha)
     for q in (q0, q0 + 1, max(1, q0 - 1)):
         eps_pow = _order_power(order, arith.eps_rel, q)
         neg = ((-eps_pow[0][0], -eps_pow[0][1]), (-eps_pow[1][0], -eps_pow[1][1]))
-        if alpha_i in (eps_pow, neg) or conj in (eps_pow, neg):
+        if alpha in (eps_pow, neg) or conj in (eps_pow, neg):
             t_p = order.rel_trace(arith.eps_rel)
             return q, t_p
     raise AssertionError("power verification failed: unit search bug")
@@ -245,7 +226,7 @@ def classify_trace(field: BaseField, t: FieldElement, spec: LatticeSpec,
     iota1 = abs(t.approx(1))
     groups: dict[int, list[SplitData]] = {}
     for d_id, f_id in square_divisor_splits(D):
-        order = build_order(field, D, d_id)
+        order = build_order(field, D, d_id, f_id)
         sd = SplitData(d_id, f_id, order.realizable)
         if not order.realizable:
             sd.m1 = Multiplicity(Fraction(0), Fraction(0), True)
@@ -292,7 +273,7 @@ def classify_elliptic_trace(field: BaseField, t: FieldElement, spec: LatticeSpec
     weight_terms = []
     mult = Multiplicity(Fraction(0), Fraction(0), True)
     for d_id, f_id in square_divisor_splits(D):
-        order = build_order(field, D, d_id)
+        order = build_order(field, D, d_id, f_id)
         sd = SplitData(d_id, f_id, order.realizable)
         if order.realizable:
             arith = compute_arithmetic(order, cache, stability_check)
@@ -314,10 +295,6 @@ class GeodesicTable:
     x_max: float
     rows: list
     elliptic: list
-
-    def certified_only(self) -> "GeodesicTable":
-        return GeodesicTable(self.field_m, self.x_max,
-                             [r for r in self.rows if r.certified], self.elliptic)
 
 
 def length_spectrum(field: BaseField, x: float, spec: LatticeSpec,

@@ -369,3 +369,154 @@ class TestPrimeElements:
         second = prime_elements_above(K, 7)
         assert second == snapshot and len(second) == 2
         assert second is not prime_elements_above(K, 7)
+
+
+class FractionElement:
+    """The Fraction-only element type that int-valued coordinates replaced,
+    kept as their oracle: the same formulas, every coordinate a Fraction."""
+
+    def __init__(self, K, a, b):
+        self.K, self.a, self.b = K, Fraction(a), Fraction(b)
+
+    def _c(self, o):
+        return o if isinstance(o, FractionElement) else FractionElement(self.K, o, 0)
+
+    def __add__(self, o):
+        o = self._c(o)
+        return FractionElement(self.K, self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        o = self._c(o)
+        return FractionElement(self.K, self.a - o.a, self.b - o.b)
+
+    def __neg__(self):
+        return FractionElement(self.K, -self.a, -self.b)
+
+    def __mul__(self, o):
+        o = self._c(o)
+        c0, c1 = (Fraction(c) for c in self.K._w2)
+        bb = self.b * o.b
+        return FractionElement(self.K, self.a * o.a + bb * c0, self.a * o.b + self.b * o.a + bb * c1)
+
+    def __truediv__(self, o):
+        o = self._c(o)
+        n = o.norm()
+        num = self * o.conj()
+        return FractionElement(self.K, num.a / n, num.b / n)
+
+    def __pow__(self, k):
+        if k < 0:
+            return (FractionElement(self.K, 1, 0) / self) ** (-k)
+        r = FractionElement(self.K, 1, 0)
+        for _ in range(k):
+            r = r * self
+        return r
+
+    def conj(self):
+        return FractionElement(self.K, self.a + self.b * Fraction(self.K._trace_w), -self.b)
+
+    def norm(self):
+        c0, c1 = (Fraction(c) for c in self.K._w2)
+        return self.a * self.a + self.a * self.b * c1 - self.b * self.b * c0
+
+    def trace(self):
+        return 2 * self.a + self.b * Fraction(self.K._trace_w)
+
+    def sqrt_coords(self):
+        if self.K.m % 4 == 1:
+            return (self.a + self.b / 2, self.b / 2)
+        return (self.a, self.b)
+
+    def sign(self, place):
+        p, q = self.sqrt_coords()
+        if place == 1:
+            q = -q
+        if q == 0:
+            return 0 if p == 0 else (1 if p > 0 else -1)
+        if p == 0:
+            return 1 if q > 0 else -1
+        if (p > 0) == (q > 0):
+            return 1 if p > 0 else -1
+        cmp = p * p - q * q * self.K.m
+        return (1 if cmp > 0 else -1) if p > 0 else (-1 if cmp > 0 else 1)
+
+    def approx(self, place):
+        p, q = self.sqrt_coords()
+        if q == 0:
+            return float(p)
+        k = 64 + max(q.numerator.bit_length(), 1) + 2
+        lo_s, hi_s = self.K.sqrt_m_enclosure(k)
+        if place == 1:
+            lo_s, hi_s = -hi_s, -lo_s
+        return float((p + q * lo_s + p + q * hi_s) / 2)
+
+
+def exact_coord(x):
+    """An int, or a Fraction that is not an integer; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+coords = st.one_of(st.integers(-60, 60), st.fractions(min_value=-60, max_value=60, max_denominator=12))
+
+
+class TestIntCoordinates:
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.sampled_from([2, 3, 5, 13, 17]), a=coords, b=coords, c=coords, d=coords,
+           k=st.integers(-3, 4))
+    def test_matches_fraction_only_elements(self, m, a, b, c, d, k):
+        K = make_field(m)
+        x, y = K.elt(a, b), K.elt(c, d)
+        xo, yo = FractionElement(K, a, b), FractionElement(K, c, d)
+        pairs = [(x + y, xo + yo), (x - y, xo - yo), (x * y, xo * yo), (-x, -xo),
+                 (x.conj(), xo.conj()), (x + 3, xo + 3), (x * 2, xo * 2)]
+        if yo.norm() != 0:
+            pairs.append((x / y, xo / yo))
+        if xo.norm() != 0 or k >= 0:
+            pairs.append((x ** k, xo ** k))
+        for got, want in pairs:
+            assert (got.a, got.b) == (want.a, want.b)
+            assert exact_coord(got.a) and exact_coord(got.b)
+            assert got == K.elt(want.a, want.b)
+            assert hash(got) == hash((m, want.a, want.b))
+            for place in (0, 1):
+                assert got.sign(place) == want.sign(place)
+                assert got.approx(place) == want.approx(place)
+            assert got.sqrt_coords() == want.sqrt_coords()
+            assert all(exact_coord(v) for v in got.sqrt_coords())
+        for got, want in ((x.norm(), xo.norm()), (x.trace(), xo.trace())):
+            assert got == want and exact_coord(got)
+        assert (x == c) == (xo.b == 0 and xo.a == c)
+
+    def test_integral_elements_have_int_coordinates(self):
+        for m in (2, 5):
+            K = make_field(m)
+            x = K.elt(Fraction(6, 3), Fraction(-4, 2))
+            assert type(x.a) is int and type(x.b) is int and x.is_integral()
+            assert all(type(c) is int for c in K._w2) and type(K._trace_w) is int
+            assert type(K.eps.a) is int and type(K.eps.b) is int
+            assert type((x / K.eps).a) is int
+            half = x / 4
+            assert type(half.a) is Fraction and not half.is_integral()
+
+    @pytest.mark.parametrize("make", [
+        lambda K: K.elt(0.5),
+        lambda K: K.elt(1, 0.25),
+        lambda K: K.elt(1, 1) + 0.5,
+        lambda K: K.elt(1, 1) * 2.0,
+        lambda K: K.from_sqrt_coords(0.5, 0),
+    ])
+    def test_float_coordinate_rejected(self, make):
+        with pytest.raises(TypeError):
+            make(make_field(2))
+
+
+class TestFactorMemo:
+    def test_memo_returns_independent_lists(self):
+        K = make_field(2)
+        x = K.elt(6, 10)
+        unit, fac = factor_element(x)
+        snapshot = list(fac)
+        fac.clear()
+        again = factor_element(x)
+        assert again == (unit, snapshot) and again[1] is not factor_element(x)[1]
+        assert again == factor_element(BaseField(2).elt(6, 10))  # a field with an empty memo

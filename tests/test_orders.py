@@ -12,6 +12,7 @@ from holonomy.cli import main as cli_main
 from holonomy.fields import (
     ideal_of_element,
     make_field,
+    parse_element,
     prime_elements_above,
     square_divisor_splits,
 )
@@ -30,9 +31,10 @@ from holonomy.orders import (
     _class_set,
     _inverse_lattice,
     _k_content_and_primitive,
+    _k_module_rows,
+    _kdiv_exact,
     _scale_rows,
     _trace_candidates,
-    abs_det_of,
     build_order,
     canonical_square_class,
     class_number,
@@ -43,6 +45,7 @@ from holonomy.orders import (
     local_embedding_factor,
     local_splitting,
     m1_from_data,
+    maximal_order_disc,
     norm_one_group_size,
     primitive_proper_ideals,
     relative_fundamental_unit,
@@ -50,8 +53,8 @@ from holonomy.orders import (
     torsion_units,
     unit_norm_index,
 )
-from holonomy.intlinalg import hnf
-from holonomy.spectrum import classify_elliptic_trace, enumerate_elliptic_traces
+from holonomy.intlinalg import hnf, pivot_product
+from holonomy.spectrum import classify_elliptic_trace, enumerate_elliptic_traces, enumerate_traces
 
 K2 = make_field(2)
 K5 = make_field(5)
@@ -162,7 +165,7 @@ def two_pass_count_at(order, units, B, budget=6_000_000):
     keys = set(cands.keys())
     classified = {}
     n_classes = 0
-    for key in sorted(keys, key=lambda k: (abs_det_of(k), k)):
+    for key in sorted(keys, key=lambda k: (pivot_product(k), k)):
         if key in classified:
             continue
         n_classes += 1
@@ -191,12 +194,42 @@ def two_pass_class_set(order, units, key, B, restrict_to, budget=6_000_000):
     return found
 
 
+def hnf_content_and_primitive(order, rows):
+    """The K-content by an HNF of the content ideal for every y, which the
+    coprime-norm test now skips; kept as its oracle."""
+    K = order.field
+    H = hnf(_k_module_rows(K, [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]))
+    if H == [[1, 0], [0, 1]]:
+        return K.one(), hnf(rows)
+    c = K.principal_generator(H)
+    prim = []
+    for r in rows:
+        u = _kdiv_exact(K, (r[0], r[1]), (c.a, c.b))
+        v = _kdiv_exact(K, (r[2], r[3]), (c.a, c.b))
+        prim.append([u[0], u[1], v[0], v[1]])
+    return c, hnf(prim)
+
+
+def split_list_maximal_disc(K, D):
+    """Least realized discriminant over the realizable splits of D itself.
+    This raised on class representatives such as D = -1; for D = t^2 - 4 it
+    is the maximal order's discriminant, and it is kept as that oracle."""
+    best = None
+    for dd, _ in square_divisor_splits(D):
+        o = build_order(K, D, dd)
+        if o.realizable and (best is None or o.realized_disc.norm < best.norm):
+            best = o.realized_disc
+    return best
+
+
 @pytest.fixture(scope="module")
 def cold_x5(tmp_path_factory):
     """A cold x=5 build, recording every _cell_scan call with its sorted
-    result and every class_number call with its arguments and result."""
-    cells, orders = [], []
+    result, every class_number call with its arguments and result, and the
+    arguments of every _k_content_and_primitive call."""
+    cells, orders, contents = [], [], []
     scan, count = holonomy.orders._cell_scan, holonomy.orders.class_number
+    content = holonomy.orders._k_content_and_primitive
 
     def recording_scan(*args):
         out = scan(*args)
@@ -208,13 +241,18 @@ def cold_x5(tmp_path_factory):
         orders.append((args, res))
         return res
 
+    def recording_content(order, rows):
+        contents.append((order, rows))
+        return content(order, rows)
+
     d = tmp_path_factory.mktemp("cold_x5")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(holonomy.orders, "_cell_scan", recording_scan)
         mp.setattr(holonomy.orders, "class_number", recording_count)
+        mp.setattr(holonomy.orders, "_k_content_and_primitive", recording_content)
         assert cli_main(["--cache", str(d / "cache.jsonl"), "enumerate", "--m", "2", "--x", "5",
                          "--out", str(d / "x5.csv")]) == 0
-    return cells, orders
+    return cells, orders, contents
 
 
 def largest_box(run):
@@ -237,7 +275,7 @@ def largest_box(run):
 
 class TestClassNumberOracle:
     def test_incremental_lll_scans_the_same_cells(self, cold_x5, monkeypatch):
-        cells, _ = cold_x5
+        cells, _, _ = cold_x5
         assert len(cells) > 500
         incremental = holonomy.orders._lll_rows_metric
         agree = []
@@ -254,7 +292,7 @@ class TestClassNumberOracle:
         assert sum(agree) >= 0.97 * len(agree)
 
     def test_shared_enumeration_matches_two_passes(self, cold_x5):
-        _, orders = cold_x5
+        _, orders, _ = cold_x5
         assert len(orders) == 20
         edge = 0
         for (order, units, scale, stab, budget), res in orders:
@@ -274,14 +312,14 @@ class TestClassNumberOracle:
         assert edge >= 5
 
     def test_stability_check_off_searches_bound_b_only(self, cold_x5):
-        _, orders = cold_x5
+        _, orders, _ = cold_x5
         for (order, units, scale, _, budget), res in orders[:5]:
             got = class_number(order, units, scale, False, budget)
             assert got == ClassNumberResult(res.h, False, res.bound, None, "stability check skipped")
             assert got == two_pass_class_number(order, units, scale, False, budget)
 
     def test_doubled_padding_gives_the_same_class_sets(self, cold_x5, monkeypatch):
-        _, orders = cold_x5
+        _, orders, _ = cold_x5
 
         def class_sets(order, units, B2):
             keys = set(primitive_proper_ideals(order, B2))
@@ -292,6 +330,41 @@ class TestClassNumberOracle:
         monkeypatch.setattr(holonomy.orders, "_PAD", 2 * holonomy.orders._PAD)
         got = [class_sets(order, units, res.bound2) for (order, units, *_), res in sample]
         assert got == want
+
+    def test_content_test_matches_hnf_on_every_y(self, cold_x5):
+        _, _, contents = cold_x5
+        assert len(contents) > 1000
+        nontrivial = 0
+        for order, rows in contents:
+            got = _k_content_and_primitive(order, rows)
+            assert got == hnf_content_and_primitive(order, rows)
+            nontrivial += got[0] != 1
+        assert nontrivial > 0
+
+
+class TestMaximalOrderDisc:
+    def test_every_stored_class_representative(self):
+        reps = sorted({key[1] for key in shipped_records()})
+        assert len(reps) == 189
+        for text in reps:
+            D0 = parse_element(K2, text)
+            holonomy.orders._MAXDISC_CACHE.clear()
+            d = maximal_order_disc(K2, D0)
+            # d_L divides 4*D0 with a square quotient
+            q, r = divmod(abs((4 * D0).norm()), d.norm)
+            assert r == 0 and math.isqrt(q) ** 2 == q
+            holonomy.orders._MAXDISC_CACHE.clear()
+            assert maximal_order_disc(K2, D0 * K2.elt(3, 1) ** 2).rows == d.rows
+        holonomy.orders._MAXDISC_CACHE.clear()
+
+    def test_matches_the_split_list_of_t2_minus_4(self):
+        traces = enumerate_traces(K2, 10) + enumerate_elliptic_traces(K2)
+        assert len(traces) == 210
+        for t in traces:
+            D = t * t - 4
+            holonomy.orders._MAXDISC_CACHE.clear()
+            assert maximal_order_disc(K2, D).rows == split_list_maximal_disc(K2, D).rows
+        holonomy.orders._MAXDISC_CACHE.clear()
 
 
 class TestSqrtInK:
@@ -341,6 +414,21 @@ class TestBuildOrder:
         D = K2.elt(-1, 2)
         with pytest.raises(ValueError):
             build_order(K2, D, ideal_of_element(K2.elt(0, 1)))
+
+    def test_split_passed_in_builds_the_same_order(self):
+        for t in (K2.elt(1, 1), K2.elt(2, 1), K2.elt(0, 0), K2.elt(7, 4), K5.elt(1, 1), K5.elt(3, 2)):
+            K = t.field
+            D = t * t - 4
+            for d_id, f_id in square_divisor_splits(D):
+                a, b = build_order(K, D, d_id), build_order(K, D, d_id, f_id)
+                assert (a.Dred, a.f_elt, a._rows2, a.realizable) == (b.Dred, b.f_elt, b._rows2, b.realizable)
+
+    def test_mismatched_f_rejected(self):
+        D = K2.elt(2, 1) ** 2 - 4
+        (d1, f1), (d2, f2) = square_divisor_splits(D)
+        for d, f in ((d1, f2), (d2, f1)):
+            with pytest.raises(ValueError):
+                build_order(K2, D, d, f)
 
     def test_ring_closure_of_basis(self):
         # products of the module generators re-expand integrally

@@ -11,6 +11,7 @@ from holonomy.spectrum import (
     classify_trace,
     enumerate_elliptic_traces,
     enumerate_traces,
+    is_elliptic_trace,
     is_hyperbolic_elliptic_trace,
     length_spectrum,
     trace_folded_angle,
@@ -20,6 +21,48 @@ from holonomy.spectrum import (
 K2 = make_field(2)
 K5 = make_field(5)
 SPEC2 = LatticeSpec.hilbert(K2)
+
+
+def box_traces(field, x):
+    """The O(R^2) coordinate-box scan that the O(R) strip of enumerate_traces
+    replaced, kept as its oracle."""
+    R = 2 * math.cosh(x / 2)
+    w0 = field.w().approx(0)
+    w1 = field.w().approx(1)
+    bmax = int((R + 2) / abs(w0 - w1)) + 2
+    amax = int((R + 2) / 2) + 2
+    out = []
+    seen = set()
+    for b in range(-bmax, bmax + 1):
+        for a in range(-amax, amax + 1):
+            t = canonical_trace_sign(field.elt(a, b))
+            key = (t.a, t.b)
+            if key in seen or not is_hyperbolic_elliptic_trace(field, t):
+                continue
+            seen.add(key)
+            if trace_length(field, t) <= x + 1e-12:
+                out.append(t)
+    out.sort(key=lambda z: (z.approx(0), z.a, z.b))
+    return out
+
+
+def box_elliptic_traces(field):
+    """The coordinate-box scan that enumerate_elliptic_traces replaced."""
+    w0 = field.w().approx(0)
+    w1 = field.w().approx(1)
+    bmax = int(4 / abs(w0 - w1)) + 2
+    out = []
+    seen = set()
+    for b in range(-bmax, bmax + 1):
+        for a in range(-4, 5):
+            t = canonical_trace_sign(field.elt(a, b))
+            key = (t.a, t.b)
+            if key in seen or not is_elliptic_trace(field, t):
+                continue
+            seen.add(key)
+            out.append(t)
+    out.sort(key=lambda z: (z.approx(0), abs(z.a), abs(z.b), z.a, z.b))
+    return out
 
 
 class TestEnumeration:
@@ -56,6 +99,18 @@ class TestEnumeration:
         got5 = {format_element(t) for t in enumerate_elliptic_traces(K5)}
         assert "w" in got5  # golden ratio trace
         assert "0" in got5
+
+    @pytest.mark.parametrize("m,x", [(2, x) for x in (1.5, 4, 7, 8.5, 10)]
+                             + [(m, x) for m in (3, 5, 13, 17) for x in (2, 4.5, 7)])
+    def test_strip_matches_box_scan(self, m, x):
+        K = make_field(m)
+        assert [(t.a, t.b) for t in enumerate_traces(K, x)] == [(t.a, t.b) for t in box_traces(K, x)]
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13, 17])
+    def test_elliptic_strip_matches_box_scan(self, m):
+        K = make_field(m)
+        got = enumerate_elliptic_traces(K)
+        assert got and [(t.a, t.b) for t in got] == [(t.a, t.b) for t in box_elliptic_traces(K)]
 
     def test_cutoff_positive_required(self):
         with pytest.raises(ValueError):
