@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -143,3 +145,31 @@ class TestCliFlows:
             assert abs(a.length - b.length) < 1e-9
             assert a.q == b.q
             assert a.multiplicity.lo == b.multiplicity.lo
+
+
+class TestImport:
+    """Importing the package keeps numpy's OpenBLAS single-threaded, so no
+    idle worker spins beside the caller; an explicit setting is kept."""
+
+    @staticmethod
+    def _probe(blas_threads):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        code = ("import os, holonomy.cli; "
+                "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        return out[0], int(out[1])
+
+    def test_single_threaded_blas_by_default(self):
+        setting, tasks = self._probe(None)
+        assert setting == "1"
+        assert tasks in (0, 1)  # 0: no /proc to count threads in
+
+    def test_explicit_setting_wins(self):
+        assert self._probe("2")[0] == "2"
