@@ -460,7 +460,8 @@ def norm_one_group_size(order: RelativeQuadraticOrder) -> int:
     # (padded inside _cell_scan) holds every such x; the tests are exact
     found = _cell_scan(order, _STD_ROWS, _embedding_rows(order, _STD_ROWS), [0.0, 0.0],
                        False, 1, 1, 6_000_000)
-    return sum(1 for x in found if order.rel_norm(x) == 1)
+    # _cell_scan keeps one of each +-x, and x -> -x has no fixed point on O^1
+    return 2 * sum(1 for x in found if order.rel_norm(x) == 1)
 
 
 def _flat_embedding(order, x):
@@ -507,6 +508,8 @@ def _balanced_logs(tau: float, is_he: bool):
 _CELL = 0.7
 # relative padding of the embedding box that _cell_scan covers
 _PAD = 1.08
+# a block of unit cells whose covering box holds more points is split
+_BLOCK_POINTS = 5_000
 
 
 def _lll_rows_metric(rows, vecs):
@@ -575,16 +578,23 @@ def _lll_rows_metric(rows, vecs):
 def enumerate_mod_units(order, basis_rows, norm_min: int, norm_max, units,
                         budget: int = 6_000_000):
     """Integer-coordinate lattice elements x (rows over the order Z-basis)
-    with norm_min <= |N(x)| <= norm_max, at least one per unit-orbit.
+    with norm_min <= |N(x)| <= norm_max, at least one per orbit of x under
+    the units and -1.
 
-    The coefficients along the unit log vectors in [0, 1) are tiled in steps
-    of at most _CELL. Every unit cell yields a rigorous upper bound per log
-    coordinate at the top norm level log(norm_max), converted to a padded
-    coordinate box and scanned exhaustively with exact norm checks. Balanced
-    logs grow with the norm level, so that box holds every element of the
-    cell whose norm is at most norm_max. Any lattice element in the norm
-    window has a unit multiple inside some cell, so each orbit is hit at
-    least once.
+    The coefficients along the unit log vectors in [0, 1) are tiled into unit
+    cells, steps of at most _CELL. Any lattice element in the norm window has
+    a unit multiple inside some cell. A block of cells (a rectangle of cell
+    indices) takes as its upper bound per log coordinate, at the top norm
+    level log(norm_max), the maximum over its corners; balanced logs grow
+    with the norm level, so the padded coordinate box of those bounds holds
+    every element of the block whose norm is at most norm_max. The scan
+    starts from one block of all cells. A block of more than one cell whose
+    box holds more than min(_BLOCK_POINTS, budget) points is halved along
+    its widest index axis; any other block is scanned exhaustively with
+    exact norm checks. A single cell is never split, so budget keeps its
+    meaning: Inconclusive is raised exactly when some cell that the split
+    reaches has a box of more than budget points, and _BLOCK_POINTS = 0
+    scans every cell on its own.
     """
     if norm_max < norm_min:
         return []
@@ -593,23 +603,28 @@ def enumerate_mod_units(order, basis_rows, norm_min: int, norm_max, units,
     emb_rows = _embedding_rows(order, basis_rows)
     unit_logs = [_log_vector(order, u) for u in units]
     is_he = order.signature == HYPERBOLIC_ELLIPTIC
-    dim = 3 if is_he else 2
     base = _balanced_logs(math.log(float(norm_max)) + 1e-9, is_he)
     s_steps = [max(1, math.ceil(math.sqrt(sum(v * v for v in ul)) / _CELL)) for ul in unit_logs]
 
     results = []
     seen = set()
-    for scell in product(*(range(k) for k in s_steps)):
-        # upper bound per log coordinate over the cell (corners suffice)
-        uppers = [-math.inf] * dim
-        for corner_idx in product(*[(0, 1)] * len(units)):
-            vec = list(base)
-            for ui, (ci, k, flag) in enumerate(zip(scell, s_steps, corner_idx)):
-                s_val = (ci + flag) / k
-                for j in range(dim):
-                    vec[j] += s_val * unit_logs[ui][j]
-            for j in range(dim):
-                uppers[j] = max(uppers[j], vec[j])
+    blocks = [[(0, k) for k in s_steps]]
+    while blocks:
+        block = blocks.pop()
+        # upper bound per log coordinate over the block: the maximum over its
+        # corners, taken axis by axis since the log vector is linear in them
+        uppers = [b + sum(max(lo * ul[j], hi * ul[j]) / k
+                          for (lo, hi), k, ul in zip(block, s_steps, unit_logs))
+                  for j, b in enumerate(base)]
+        spans = [hi - lo for lo, hi in block]
+        i = spans.index(max(spans))
+        if spans[i] > 1 and (_covering_box(basis_rows, emb_rows, uppers, is_he)[4]
+                             > min(_BLOCK_POINTS, budget)):
+            lo, hi = block[i]
+            mid = (lo + hi) // 2
+            blocks += [block[:i] + [(mid, hi)] + block[i + 1:],
+                       block[:i] + [(lo, mid)] + block[i + 1:]]
+            continue
         for x in _cell_scan(order, basis_rows, emb_rows, uppers, is_he,
                             norm_min, norm_max, budget):
             if x in seen:
@@ -619,44 +634,38 @@ def enumerate_mod_units(order, basis_rows, norm_min: int, norm_max, units,
     return results
 
 
-def _cell_scan(order, basis_rows, emb_rows, uppers, is_he, nmin, nmax, budget):
-    """Exact lattice points in one embedding box {|emb_i| <= lims_i} with
-    norm in [nmin, nmax]. The basis is LLL-reduced in the metric scaled by
-    the box half-widths, so the covering coordinate box stays small even for
-    very lopsided cells."""
-    pad = _PAD
+def _covering_box(basis_rows, emb_rows, uppers, is_he):
+    """The padded embedding box {|emb_i| <= lims_i} of the log upper bounds,
+    and a coordinate box covering it. The basis is LLL-reduced in the metric
+    scaled by the half-widths lims, so the covering box stays small even for
+    very lopsided cells. Returns (reduced rows, their scaled embeddings S,
+    the scale 1/lims, the half-widths ks of the covering box, its number of
+    points): every lattice point in the embedding box has reduced
+    coordinates |c_i| <= ks_i."""
     if is_he:
-        lims = [
-            math.exp(uppers[0]) * pad,
-            math.exp(uppers[1]) * pad,
-            math.exp(0.5 * uppers[2]) * pad,
-            math.exp(0.5 * uppers[2]) * pad,
-        ]
+        halves = [uppers[0], uppers[1], 0.5 * uppers[2], 0.5 * uppers[2]]
     else:
-        lims = [
-            math.exp(0.5 * uppers[0]) * pad,
-            math.exp(0.5 * uppers[0]) * pad,
-            math.exp(0.5 * uppers[1]) * pad,
-            math.exp(0.5 * uppers[1]) * pad,
-        ]
-    inv = [1.0 / l for l in lims]
-    scaled = [[e * f for e, f in zip(v, inv)] for v in emb_rows]
+        halves = [0.5 * uppers[0], 0.5 * uppers[0], 0.5 * uppers[1], 0.5 * uppers[1]]
+    scale = np.array([1.0 / (math.exp(h) * _PAD) for h in halves])
+    scaled = [[e * f for e, f in zip(v, scale)] for v in emb_rows]
     red_rows, red_vecs = _lll_rows_metric(basis_rows, scaled)
-    scale = np.array(inv)
     S = np.array(red_vecs)  # rows: scaled embeddings of reduced basis
     try:
         Sinv = np.linalg.inv(S.T)
     except np.linalg.LinAlgError:
         raise Inconclusive("degenerate lattice embedding")
-    cmax = [0.0] * 4
-    for corner in product(*[(-1.0, 1.0)] * 4):
-        sol = Sinv @ np.array(corner)
-        for i in range(4):
-            cmax[i] = max(cmax[i], abs(sol[i]))
-    ks = [int(c + 1) for c in cmax]
-    total = 1
-    for k in ks:
-        total *= 2 * k + 1
+    # max over the corners c of the unit cube of |(Sinv c)_i| is the l1 norm of row i
+    ks = [int(c + 1) for c in np.abs(Sinv).sum(axis=1)]
+    return red_rows, S, scale, ks, math.prod(2 * k + 1 for k in ks)
+
+
+def _cell_scan(order, basis_rows, emb_rows, uppers, is_he, nmin, nmax, budget):
+    """Exact lattice points x in the padded embedding box of the log upper
+    bounds (see _covering_box) with nmin <= |N(x)| <= nmax, one of each pair
+    +-x: the one whose first nonzero xi-coordinate is positive. The choice is
+    made on the xi-coordinates, not on the reduced ones, so the set returned
+    does not depend on the LLL basis."""
+    red_rows, S, scale, ks, total = _covering_box(basis_rows, emb_rows, uppers, is_he)
     if total > budget:
         raise Inconclusive(f"enumeration box too large ({total} points)")
     axes = [np.arange(-k, k + 1, dtype=np.int64) for k in ks]
@@ -673,10 +682,10 @@ def _cell_scan(order, basis_rows, emb_rows, uppers, is_he, nmin, nmax, budget):
     mask = (nrm >= nmin * 0.98 - 0.5) & (nrm <= nmax * 1.02 + 0.5)
     out = []
     for row in grid[mask]:
-        coords = tuple(int(v) for v in row)
-        if not any(coords):
+        x = _coords_to_elt(row.tolist(), red_rows)
+        # first nonzero xi-coordinate positive; this also drops x = 0
+        if next((c for c in x[0] + x[1] if c), 0) <= 0:
             continue
-        x = _coords_to_elt(coords, red_rows)
         exact = abs(order.abs_norm_int(x))
         if nmin <= exact <= nmax:
             out.append(x)

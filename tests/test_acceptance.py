@@ -4,7 +4,7 @@ Asymptotic statements are checked as desk-scale trends at their stated
 tolerances; exact and property checks run at full strictness. The heavy
 criteria (5, 8, 9) share one build of the cutoff-10 table through a temporary
 copy of the shipped warm cache (data/order_cache.jsonl), about 0.3 s on a
-2-core x86-64 machine; a cold cache reproduces it in about 80 s.
+2-core x86-64 machine; a cold cache reproduces it in about 40 s.
 """
 
 import math

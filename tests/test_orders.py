@@ -222,14 +222,27 @@ def split_list_maximal_disc(K, D):
     return best
 
 
+def record_cold_x5(d, patches):
+    """Run a cold x=5 build into directory d with the given module attributes
+    of holonomy.orders patched."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patches.items():
+            mp.setattr(holonomy.orders, name, value)
+        assert cli_main(["--cache", str(d / "cache.jsonl"), "enumerate", "--m", "2", "--x", "5",
+                         "--out", str(d / "x5.csv")]) == 0
+
+
 @pytest.fixture(scope="module")
 def cold_x5(tmp_path_factory):
-    """A cold x=5 build, recording every _cell_scan call with its sorted
-    result, every class_number call with its arguments and result, and the
-    arguments of every _k_content_and_primitive call."""
-    cells, orders, contents = [], [], []
+    """A cold x=5 build on single unit cells (_BLOCK_POINTS = 0, the tiling
+    that the blocks replaced), recording every _cell_scan call with its
+    sorted result, every class_number call with its arguments and result,
+    the arguments of every _k_content_and_primitive call, and every
+    _generator_keys and unit_norm_index call with its arguments and result."""
+    cells, orders, contents, searches, norm_indices = [], [], [], [], []
     scan, count = holonomy.orders._cell_scan, holonomy.orders.class_number
     content = holonomy.orders._k_content_and_primitive
+    keys, index = holonomy.orders._generator_keys, holonomy.orders.unit_norm_index
 
     def recording_scan(*args):
         out = scan(*args)
@@ -245,18 +258,41 @@ def cold_x5(tmp_path_factory):
         contents.append((order, rows))
         return content(order, rows)
 
-    d = tmp_path_factory.mktemp("cold_x5")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(holonomy.orders, "_cell_scan", recording_scan)
-        mp.setattr(holonomy.orders, "class_number", recording_count)
-        mp.setattr(holonomy.orders, "_k_content_and_primitive", recording_content)
-        assert cli_main(["--cache", str(d / "cache.jsonl"), "enumerate", "--m", "2", "--x", "5",
-                         "--out", str(d / "x5.csv")]) == 0
-    return cells, orders, contents
+    def recording_keys(*args):
+        out = keys(*args)
+        searches.append((args, out))
+        return out
+
+    def recording_index(*args):
+        out = index(*args)
+        norm_indices.append((args, out))
+        return out
+
+    record_cold_x5(tmp_path_factory.mktemp("cold_x5"), {
+        "_BLOCK_POINTS": 0, "_cell_scan": recording_scan, "class_number": recording_count,
+        "_k_content_and_primitive": recording_content, "_generator_keys": recording_keys,
+        "unit_norm_index": recording_index})
+    return cells, orders, contents, searches, norm_indices
+
+
+@pytest.fixture(scope="module")
+def cold_x5_blocks(tmp_path_factory):
+    """Every _cell_scan call of a cold x=5 build on the default blocks, with
+    its sorted result."""
+    cells = []
+    scan = holonomy.orders._cell_scan
+
+    def recording_scan(*args):
+        out = scan(*args)
+        cells.append((args, sorted(out)))
+        return out
+
+    record_cold_x5(tmp_path_factory.mktemp("cold_x5_blocks"), {"_cell_scan": recording_scan})
+    return cells
 
 
 def largest_box(run):
-    """Largest _cell_scan box (in points) over run()."""
+    """Largest _cell_scan box (in points) over run(), on single unit cells."""
     scan = holonomy.orders._cell_scan
     sizes = []
 
@@ -268,31 +304,51 @@ def largest_box(run):
         return scan(*args)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holonomy.orders, "_BLOCK_POINTS", 0)
         mp.setattr(holonomy.orders, "_cell_scan", measuring_scan)
         run()
     return max(sizes)
 
 
+def scans_agree_with_gso_lll(cells, monkeypatch):
+    """Replay recorded _cell_scan calls with the GSO LLL; each must return the
+    recorded set. Returns the share of calls whose reduced bases agree."""
+    incremental = holonomy.orders._lll_rows_metric
+    agree = []
+
+    def gso_lll(rows, vecs):
+        out = gso_lll_rows_metric(rows, vecs)
+        agree.append(incremental(rows, vecs)[0] == out[0])
+        return out
+
+    monkeypatch.setattr(holonomy.orders, "_lll_rows_metric", gso_lll)
+    for args, got in cells:
+        assert sorted(holonomy.orders._cell_scan(*args)) == got
+    return sum(agree) / len(agree)
+
+
 class TestClassNumberOracle:
     def test_incremental_lll_scans_the_same_cells(self, cold_x5, monkeypatch):
-        cells, _, _ = cold_x5
+        cells, *_ = cold_x5
         assert len(cells) > 500
-        incremental = holonomy.orders._lll_rows_metric
-        agree = []
-
-        def gso_lll(rows, vecs):
-            out = gso_lll_rows_metric(rows, vecs)
-            agree.append(incremental(rows, vecs)[0] == out[0])
-            return out
-
-        monkeypatch.setattr(holonomy.orders, "_lll_rows_metric", gso_lll)
-        for args, got in cells:
-            assert sorted(holonomy.orders._cell_scan(*args)) == got
         # a coefficient mu near 1/2 may round either way, so a few bases differ
-        assert sum(agree) >= 0.97 * len(agree)
+        assert scans_agree_with_gso_lll(cells, monkeypatch) >= 0.97
+
+    def test_incremental_lll_scans_the_same_blocks(self, cold_x5_blocks, monkeypatch):
+        # one of +-x is chosen on xi-coordinates, so the set is basis-free
+        assert len(cold_x5_blocks) > 50
+        scans_agree_with_gso_lll(cold_x5_blocks, monkeypatch)
+
+    def test_blocks_find_what_single_cells_find(self, cold_x5):
+        _, _, _, searches, norm_indices = cold_x5
+        assert len(searches) > 20 and len(norm_indices) == 20
+        for args, got in searches:
+            assert holonomy.orders._generator_keys(*args) == got
+        for args, got in norm_indices:
+            assert unit_norm_index(*args) == got
 
     def test_shared_enumeration_matches_two_passes(self, cold_x5):
-        _, orders, _ = cold_x5
+        _, orders, *_ = cold_x5
         assert len(orders) == 20
         edge = 0
         for (order, units, scale, stab, budget), res in orders:
@@ -312,14 +368,14 @@ class TestClassNumberOracle:
         assert edge >= 5
 
     def test_stability_check_off_searches_bound_b_only(self, cold_x5):
-        _, orders, _ = cold_x5
+        _, orders, *_ = cold_x5
         for (order, units, scale, _, budget), res in orders[:5]:
             got = class_number(order, units, scale, False, budget)
             assert got == ClassNumberResult(res.h, False, res.bound, None, "stability check skipped")
             assert got == two_pass_class_number(order, units, scale, False, budget)
 
     def test_doubled_padding_gives_the_same_class_sets(self, cold_x5, monkeypatch):
-        _, orders, _ = cold_x5
+        _, orders, *_ = cold_x5
 
         def class_sets(order, units, B2):
             keys = set(primitive_proper_ideals(order, B2))
@@ -332,8 +388,8 @@ class TestClassNumberOracle:
         assert got == want
 
     def test_content_test_matches_hnf_on_every_y(self, cold_x5):
-        _, _, contents = cold_x5
-        assert len(contents) > 1000
+        _, _, contents, *_ = cold_x5
+        assert len(contents) > 700
         nontrivial = 0
         for order, rows in contents:
             got = _k_content_and_primitive(order, rows)
@@ -769,18 +825,19 @@ class TestArithmeticCache:
         assert cli_main(["--cache", str(path), "enumerate", "--m", "2", "--x", "3"]) == 2
         assert "line 5: malformed" in capsys.readouterr().err
 
-    def test_cold_build_reproduces_shipped_table_and_records(self, tmp_path):
+    @pytest.mark.parametrize("x, n_records", [(5, 20), (6, 35)])
+    def test_cold_build_reproduces_shipped_table_and_records(self, tmp_path, x, n_records):
         path = tmp_path / "cache.jsonl"
-        out = tmp_path / "x5.csv"
-        assert cli_main(["--cache", str(path), "enumerate", "--m", "2", "--x", "5",
+        out = tmp_path / f"x{x}.csv"
+        assert cli_main(["--cache", str(path), "enumerate", "--m", "2", "--x", str(x),
                          "--out", str(out)]) == 0
         ref = SHIPPED_TABLE.read_text().splitlines()
-        want = ["# m=2 x=5", ref[1]] + [ln for ln in ref[2:] if float(ln.split(",")[4]) <= 5]
+        want = [f"# m=2 x={x}", ref[1]] + [ln for ln in ref[2:] if float(ln.split(",")[4]) <= x]
         assert out.read_text().splitlines() == want
         shipped = shipped_records()
         with open(path) as fh:
             appended = [json.loads(ln) for ln in fh]
-        assert len(appended) == 20
+        assert len(appended) == n_records
         assert all(rec == shipped[OrderCache._key(rec)] for rec in appended)
 
     def test_lattice_spec_parity(self):
