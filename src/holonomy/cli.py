@@ -15,7 +15,9 @@ import sys
 from fractions import Fraction
 
 from .config import RunConfig, config_from_sources
-from .fields import ScopeError, format_element, make_field, parse_element, sign_data, ideal_of_element
+from .fields import (ScopeError, format_element, ideal_of_element, make_field, parse_element,
+                     sign_data, square_divisor_splits)
+from .intlinalg import hnf
 from .measure import TrigFunction
 from .orders import LatticeSpec, OrderCache, build_order, compute_arithmetic
 from .reports import (
@@ -120,6 +122,18 @@ def _parse_testfn(s: str) -> TestFunctionSpec:
     return TestFunctionSpec(name, params)
 
 
+def _parse_hnf(text: str) -> tuple:
+    """A 2x2 integer matrix [[p,q],[0,r]] in Hermite normal form, as rows."""
+    try:
+        rows = json.loads(text)
+        if ([len(r) for r in rows] == [2, 2] and all(type(c) is int for r in rows for c in r)
+                and hnf(rows) == rows):
+            return tuple(tuple(r) for r in rows)
+    except (ValueError, TypeError):
+        pass
+    raise ValueError(f"--d must be a 2x2 integer HNF [[p,q],[0,r]], got {text!r}")
+
+
 def _spec_for(field) -> LatticeSpec:
     return LatticeSpec.hilbert(field)
 
@@ -193,11 +207,11 @@ def main(argv=None) -> int:
     if not args.cmd:
         ap.print_help()
         return 1
-    cfg = config_from_sources(args.config, cache_path=args.cache,
-                              output_format=args.format, strict=args.strict or None)
     try:
+        cfg = config_from_sources(args.config, cache_path=args.cache,
+                                  output_format=args.format, strict=args.strict or None)
         return _dispatch(args, cfg)
-    except (ValueError, ScopeError) as e:
+    except (ValueError, ScopeError, OSError) as e:
         sys.stderr.write(f"precondition error: {e}\n")
         return 2
 
@@ -258,6 +272,8 @@ def _dispatch(args, cfg: RunConfig) -> int:
         return 0
 
     if args.cmd == "stats" and args.sub == "units":
+        if not args.T > 0:
+            raise ValueError(f"--T must be positive, got {args.T}")
         K = make_field(args.m)
         x = 2 * math.log(args.T)
         table = length_spectrum(K, max(x, 1.0), _spec_for(K), cache, with_elliptic=False)
@@ -278,11 +294,11 @@ def _dispatch(args, cfg: RunConfig) -> int:
     if args.cmd == "trace" and args.sub == "geometric":
         with open(args.infile) as fh:
             table = table_from_csv(fh.read())
+        tf = _parse_testfn(args.testfn)
         K = make_field(table.field_m)
         spec = _spec_for(K)
         table.elliptic = [classify_elliptic_trace(K, t, spec, cache)
                           for t in enumerate_elliptic_traces(K)]
-        tf = _parse_testfn(args.testfn)
         out = geometric_side(table, (args.weight,), tf, args.vol)
         out["config_digest"] = cfg.digest()
         _write(json.dumps({k: (f"{v:.12g}" if isinstance(v, float) else v)
@@ -293,11 +309,8 @@ def _dispatch(args, cfg: RunConfig) -> int:
         K = make_field(args.m)
         D = parse_element(K, args.D)
         if args.d:
-            rows = tuple(tuple(r) for r in json.loads(args.d))
-            from .fields import IdealK
-            d_id = IdealK(K.m, rows, Fraction(0), Fraction(0))
+            rows = _parse_hnf(args.d)
             # locate matching split to get a principal generator
-            from .fields import square_divisor_splits
             match = [dd for dd, _ in square_divisor_splits(D) if dd.rows == rows]
             if not match:
                 raise ValueError("d is not a square-divisor split of (D)")

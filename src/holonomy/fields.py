@@ -72,6 +72,47 @@ def sign_p_q_sqrt(p, q, m: int) -> int:
     return -1 if cmp > 0 else 1
 
 
+# -- O_K arithmetic on integer pairs (a, b) = a + b*w, for the hot loops -------
+
+
+def kmul(K: "BaseField", x, y):
+    """x * y for integer pairs over (1, w)."""
+    c0, c1 = K._w2  # w^2 = c0 + c1*w
+    a, b = x
+    c, d = y
+    bd = b * d
+    return (a * c + bd * c0, a * d + b * c + bd * c1)
+
+
+def knorm(K: "BaseField", x) -> int:
+    """N(x) = x * conj(x) for an integer pair over (1, w)."""
+    c0, c1 = K._w2
+    a, b = x
+    return a * a + a * b * c1 - b * b * c0
+
+
+def kdiv_exact(K: "BaseField", x, y):
+    """x / y for integer pairs when the quotient is integral, via
+    x * conj(y) / N(y); else None (also for y = 0)."""
+    n = knorm(K, y)
+    if n == 0:
+        return None
+    a, b = kmul(K, x, (y[0] + K._trace_w * y[1], -y[1]))
+    if a % n or b % n:
+        return None
+    return (a // n, b // n)
+
+
+def k_module_rows(K: "BaseField", elts):
+    """Integer rows x and x*w spanning the O_K-module generated by the pairs."""
+    c0, c1 = K._w2
+    rows = []
+    for a, b in elts:
+        rows.append([a, b])
+        rows.append([c0 * b, a + c1 * b])
+    return rows
+
+
 class FieldElement:
     """Element a + b*w of K with exact coordinates: each an int when
     integral, else a Fraction; a float coordinate raises TypeError."""
@@ -102,6 +143,7 @@ class FieldElement:
         return FieldElement(self.field, -self.a, -self.b)
 
     def __mul__(self, other):
+        # kmul's formula, inline: a call per product would slow every multiply
         o = self._coerce(other)
         c0, c1 = self.field._w2  # w^2 = c0 + c1*w
         bb = self.b * o.b
@@ -309,8 +351,7 @@ def ideal_of_element(x: FieldElement) -> IdealK:
     """Principal ideal (x); x must be a nonzero integral element."""
     if not x.is_integral() or (x.a == 0 and x.b == 0):
         raise ValueError("need a nonzero integral element")
-    xw = x * x.field.w()
-    rows = hnf([[x.a, x.b], [xw.a, xw.b]])
+    rows = hnf(k_module_rows(x.field, [(x.a, x.b)]))
     return IdealK(x.field.m, tuple(tuple(r) for r in rows), x.a, x.b)
 
 
@@ -465,12 +506,7 @@ class BaseField:
 
     def _is_ideal(self, rows) -> bool:
         """Whether the row lattice (HNF over (1, w)) is stable under w."""
-        w = self.w()
-        for r in rows:
-            xw = self.elt(r[0], r[1]) * w
-            if not in_lattice([xw.a, xw.b], rows):
-                return False
-        return True
+        return all(in_lattice(xw, rows) for xw in k_module_rows(self, rows)[1::2])
 
     def elements_up_to_norm(self, bound: int) -> dict:
         """dict n -> canonical elements (up to units) with |N| = n <= bound,
@@ -544,8 +580,13 @@ class BaseField:
     def canonical_associate(self, x: FieldElement) -> FieldElement:
         """Associate of x with iota_0 > 0 and iota_0 in [sqrt|N|, sqrt|N|*eps),
         for integral x, by exact integer steps."""
+        return self.unit_reduce(x)[1]
+
+    def unit_reduce(self, x: FieldElement):
+        """(k, c) with x = +-eps^k * c and c = canonical_associate(x), for
+        integral x: the one loop that steps by powers of eps."""
         if x.a == 0 and x.b == 0:
-            return x
+            return 0, x
         if not x.is_integral():
             raise ValueError("canonical_associate needs an integral element")
         X, Y = self._xy(x)
@@ -554,12 +595,15 @@ class BaseField:
         e1, e2 = self._eps_xy
         s, m = self.eps_norm, self.m
         c = 2 if self._half_basis else 1
+        k = 0
         while not self._is_canonical_xy(X, Y):
             if X < 0 or Y < 0:  # iota_0^2 < |N|: multiply by eps
                 X, Y = (X * e1 + m * Y * e2) // c, (X * e2 + Y * e1) // c
+                k -= 1
             else:  # iota_0^2 >= |N|*eps^2: divide by eps
                 X, Y = s * (X * e1 - m * Y * e2) // c, s * (Y * e1 - X * e2) // c
-        return self._from_xy(X, Y)
+                k += 1
+        return k, self._from_xy(X, Y)
 
     def principal_generator(self, rows) -> FieldElement | None:
         """Generator of the row lattice if it is a principal ideal, else None."""
@@ -579,23 +623,12 @@ class BaseField:
 
 def _lattice_conj(field: BaseField, rows):
     """Row lattice of the conjugate module."""
-    new = []
-    for r in rows:
-        x = field.elt(r[0], r[1]).conj()
-        new.append([x.a, x.b])
-    return hnf(new)
+    return hnf([[a + field._trace_w * b, -b] for a, b in rows])
 
 
 def _lattice_product(field: BaseField, rows_a, rows_b):
     """Row lattice of the product module (pairwise generator products)."""
-    gens = []
-    for ra in rows_a:
-        xa = field.elt(ra[0], ra[1])
-        for rb in rows_b:
-            xb = field.elt(rb[0], rb[1])
-            p = xa * xb
-            gens.append([p.a, p.b])
-    return hnf(gens)
+    return hnf([list(kmul(field, ra, rb)) for ra in rows_a for rb in rows_b])
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -756,11 +789,13 @@ def _find_prime_elements(field: BaseField, ell: int):
 
 
 def valuation(x: FieldElement, pi: FieldElement):
-    """(v, x / pi^v) with v the valuation of x at the prime (pi)."""
+    """(v, x / pi^v) with v the valuation of the integral x at the prime (pi)."""
+    K = x.field
+    xy, p = (x.a, x.b), (pi.a, pi.b)
     v = 0
-    while (q := x / pi).is_integral():
-        x, v = q, v + 1
-    return v, x
+    while (q := kdiv_exact(K, xy, p)) is not None:
+        xy, v = q, v + 1
+    return v, (K.elt(*xy) if v else x)
 
 
 def factor_element(x: FieldElement):

@@ -39,6 +39,10 @@ from .fields import (
     factor_element,
     format_element,
     ideal_of_element,
+    k_module_rows,
+    kdiv_exact,
+    kmul,
+    knorm,
     square_divisor_splits,
     valuation,
 )
@@ -186,22 +190,12 @@ class RelativeQuadraticOrder:
     def _canonicalize_dred(self):
         """Scale Dred by even unit powers into the |iota_0| window
         [sqrt|N|, sqrt|N| * iota_0(eps)^2); coordinates of isomorphic orders
-        built from different traces then coincide (cache coherence)."""
+        built from different traces then coincide (cache coherence).
+        With Dred = +-eps^k * c, c canonical, that is Dred / eps^(2j) for
+        j = k // 2, and f * eps^j keeps D = f^2 * Dred."""
         K = self.field
-        E = K.eps
-        E2 = E * E
-        n_red = abs(self.Dred.norm())
-        x, f = self.Dred, self.f_elt
-        while True:
-            v = x * x
-            if (v - n_red).sign(0) < 0:
-                x = x * E2
-                f = f / E
-            elif (v - E2 * E2 * n_red).sign(0) >= 0:
-                x = x / E2
-                f = f * E
-            else:
-                break
+        j = K.unit_reduce(self.Dred)[0] // 2
+        x, f = self.Dred / K.eps ** (2 * j), self.f_elt * K.eps ** j
         assert f * f * x == self.D and x.is_integral() and f.is_integral()
         self.Dred, self.f_elt = x, f
 
@@ -236,9 +230,10 @@ class RelativeQuadraticOrder:
         assert a0 is not None, "no parity class matches the coefficient ideal generator"
         self.xi_a = a0  # xi = (xi_a + xi_b * sqrt(Dred)) / 2
         self.xi_b = bg
-        self.p_coef = a0
-        self.q_coef = (bg * bg * Dr - a0 * a0) / 4
-        assert self.p_coef.is_integral() and self.q_coef.is_integral()
+        # xi^2 = p xi + q, with p and q in O_K kept as integer pairs
+        q = (bg * bg * Dr - a0 * a0) / 4
+        assert q.is_integral()
+        self.p_coef, self.q_coef = (a0.a, a0.b), (q.a, q.b)
         # realized relative discriminant (xi - conj xi)^2 = bg^2 Dred
         self.realized_disc = ideal_of_element(bg * bg * Dr)
         self.realizable = self.realized_disc.rows == self.d_ideal.rows
@@ -263,50 +258,33 @@ class RelativeQuadraticOrder:
         K = self.field
         u1, v1 = x
         u2, v2 = y
-        _, _, p, q = self._int_consts()
-        vv = _kmul(K, v1, v2)
-        u = _kadd(_kmul(K, u1, u2), _kmul(K, vv, q))
-        v = _kadd(_kadd(_kmul(K, u1, v2), _kmul(K, u2, v1)), _kmul(K, vv, p))
+        vv = kmul(K, v1, v2)
+        u = _kadd(kmul(K, u1, u2), kmul(K, vv, self.q_coef))
+        v = _kadd(_kadd(kmul(K, u1, v2), kmul(K, u2, v1)), kmul(K, vv, self.p_coef))
         return (u, v)
 
     def rel_conj(self, x):
+        u, v = x
+        return (_kadd(u, kmul(self.field, v, self.p_coef)), (-v[0], -v[1]))
+
+    def _rel_norm_pair(self, x):
+        """u^2 + p*u*v - q*v^2 = u*(u + p*v) - q*v^2, as an integer pair."""
         K = self.field
         u, v = x
-        return (_kadd(u, _kmul(K, v, self._int_consts()[2])), (-v[0], -v[1]))
+        a, b = kmul(K, u, _kadd(u, kmul(K, self.p_coef, v)))
+        c, d = kmul(K, self.q_coef, kmul(K, v, v))
+        return (a - c, b - d)
 
     def rel_norm(self, x) -> FieldElement:
-        K = self.field
-        u, v = x
-        uu = K.elt(*u)
-        vv = K.elt(*v)
-        return uu * uu + self.p_coef * uu * vv - self.q_coef * vv * vv
+        return self.field.elt(*self._rel_norm_pair(x))
 
     def abs_norm_int(self, x) -> int:
         """N_{L/Q} for integer xi-coordinates (hot loops; exact ints)."""
-        c0, c1, p, q = self._int_consts()
-        u, v = x
-        K = self.field
-        uu = _kmul(K, u, u)
-        uv = _kmul(K, u, v)
-        vv = _kmul(K, v, v)
-        nr = (
-            uu[0] + p[0] * uv[0] + c0 * (p[1] * uv[1]) - (q[0] * vv[0] + c0 * (q[1] * vv[1])),
-            uu[1] + p[0] * uv[1] + p[1] * uv[0] + c1 * (p[1] * uv[1])
-            - (q[0] * vv[1] + q[1] * vv[0] + c1 * (q[1] * vv[1])),
-        )
-        a, b = nr
-        return a * a + a * b * c1 - b * b * c0
-
-    def _int_consts(self):
-        if not hasattr(self, "_ic"):
-            K = self.field
-            self._ic = (*K._w2, (self.p_coef.a, self.p_coef.b), (self.q_coef.a, self.q_coef.b))
-        return self._ic
+        return knorm(self.field, self._rel_norm_pair(x))
 
     def rel_trace(self, x) -> FieldElement:
-        K = self.field
         u, v = x
-        return 2 * K.elt(*u) + self.p_coef * K.elt(*v)
+        return self.field.elt(*_kadd(u, _kadd(u, kmul(self.field, self.p_coef, v))))
 
     def one(self):
         return ((1, 0), (0, 0))
@@ -359,14 +337,6 @@ class RelativeQuadraticOrder:
             f"<order D={format_element(self.D)} d={list(map(list, self.d_ideal.rows))} "
             f"{self.signature}{'' if self.realizable else ' (non-realizable)'}>"
         )
-
-
-def _kmul(K: BaseField, x, y):
-    c0, c1 = K._w2
-    a, b = x
-    c, d = y
-    bd = b * d
-    return (a * c + bd * c0, a * d + b * c + bd * c1)
 
 
 def _kadd(x, y):
@@ -705,16 +675,11 @@ def _coords_to_elt(coords, basis_rows):
 # ideals of the order
 
 
-def _ideal_lattice_rows(order, a: FieldElement, b: FieldElement):
-    """Z^4 rows (over basis (1,w,xi,w xi)) of O_K a + O_K (b + xi)."""
-    K = order.field
-    rows = []
-    for mult in (K.one(), K.w()):
-        xa = mult * a
-        rows.append([xa.a, xa.b, 0, 0])
-        xb = mult * b
-        rows.append([xb.a, xb.b, mult.a, mult.b])
-    return hnf(rows)
+def _ideal_lattice_rows(order, a, b):
+    """Z^4 rows (over basis (1,w,xi,w xi)) of O_K a + O_K (b + xi), for
+    integer pairs a and b."""
+    ra, raw, rb, rbw = k_module_rows(order.field, [a, b])
+    return hnf([ra + [0, 0], raw + [0, 0], rb + [1, 0], rbw + [0, 1]])
 
 
 def primitive_proper_ideals(order, bound: int):
@@ -726,7 +691,7 @@ def primitive_proper_ideals(order, bound: int):
     """
     K = order.field
     out = {}
-    c0, c1, pi, qi = order._int_consts()
+    pi, qi = order.p_coef, order.q_coef
     by_norm = K.elements_up_to_norm(bound)
     gens = [(1, [K.one()])] + sorted((n, lst) for n, lst in by_norm.items() if n > 1)
     for na, lst in gens:
@@ -738,51 +703,26 @@ def primitive_proper_ideals(order, bound: int):
             for i in range(h00):
                 for j in range(h11):
                     bi = (i, j)
-                    g = _kadd(_kmul(K, bi, bi), _kmul(K, pi, bi))
+                    g = kmul(K, bi, (i + pi[0], j + pi[1]))  # b^2 + p b
                     g = (g[0] - qi[0], g[1] - qi[1])
                     # divisibility g in (a) and the integer quotient g/a
                     if not in_lattice([g[0], g[1]], arows):
                         continue
-                    quo = _kdiv_exact(K, g, ai)
+                    quo = kdiv_exact(K, g, ai)
                     if quo is None:
                         continue
-                    two_b_p = (2 * bi[0] + pi[0], 2 * bi[1] + pi[1])
+                    two_b_p = (2 * i + pi[0], 2 * j + pi[1])
                     if not _gcd_is_unit_int(K, [ai, two_b_p, quo]):
                         continue
-                    b = K.elt(*bi)
-                    rows = _ideal_lattice_rows(order, a, b)
+                    rows = _ideal_lattice_rows(order, ai, bi)
                     key = tuple(tuple(r) for r in rows)
                     if key not in out:
-                        out[key] = (a, b, na)
+                        out[key] = (a, K.elt(i, j), na)
     return out
 
 
-def _kdiv_exact(K: BaseField, x, y):
-    """x / y for int pairs when exact, via x * conj(y) / N(y); else None."""
-    c0, c1 = K._w2
-    yc = (y[0] + c1 * y[1], -y[1])
-    num = _kmul(K, x, yc)
-    nrm = y[0] * y[0] + y[0] * y[1] * c1 - y[1] * y[1] * c0
-    if nrm == 0:
-        return None
-    if num[0] % nrm or num[1] % nrm:
-        return None
-    return (num[0] // nrm, num[1] // nrm)
-
-
-def _k_module_rows(K: BaseField, elts):
-    """Integer rows spanning the O_K-module generated by int pairs: x and x*w."""
-    rows = []
-    c0, c1 = K._w2
-    for x in elts:
-        rows.append([x[0], x[1]])
-        # x * w = (c0*x1, x0 + c1*x1)
-        rows.append([c0 * x[1], x[0] + c1 * x[1]])
-    return rows
-
-
 def _gcd_is_unit_int(K: BaseField, elts) -> bool:
-    return hnf_key(_k_module_rows(K, elts)) == ((1, 0), (0, 1))
+    return hnf_key(k_module_rows(K, elts)) == ((1, 0), (0, 1))
 
 
 def _inverse_lattice(order, rows):
@@ -827,11 +767,10 @@ def _k_content_and_primitive(order, rows):
     those norms are coprime the content is 1 and no HNF of it is needed.
     """
     K = order.field
-    c0, c1 = K._w2
     gens = [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]
-    if math.gcd(*(a * a + a * b * c1 - b * b * c0 for a, b in gens)) == 1:
+    if math.gcd(*(knorm(K, g) for g in gens)) == 1:
         return K.one(), hnf(rows)
-    H = hnf(_k_module_rows(K, gens))
+    H = hnf(k_module_rows(K, gens))
     if H == [[1, 0], [0, 1]]:
         return K.one(), hnf(rows)
     c = K.principal_generator(H)
@@ -839,8 +778,8 @@ def _k_content_and_primitive(order, rows):
     ci = (c.a, c.b)
     prim = []
     for r in rows:
-        u = _kdiv_exact(K, (r[0], r[1]), ci)
-        v = _kdiv_exact(K, (r[2], r[3]), ci)
+        u = kdiv_exact(K, (r[0], r[1]), ci)
+        v = kdiv_exact(K, (r[2], r[3]), ci)
         assert u is not None and v is not None
         prim.append([u[0], u[1], v[0], v[1]])
     return c, hnf(prim)
@@ -992,25 +931,11 @@ def unit_norm_index(order: RelativeQuadraticOrder, eps_rel, budget: int = 6_000_
 
 
 def _unit_square_class(K: BaseField, u: FieldElement) -> tuple:
-    """Class of the unit u in O_K^*/(O_K^*)^2, encoded as (sign, eps-parity)."""
-    k = 0
-    x = u
-    E = K.eps
-    # reduce iota0 into [1, E) by multiplying by eps powers, tracking parity
-    while True:
-        v = x * x
-        if (v - 1).sign(0) < 0:
-            x = x * E
-            k += 1
-        elif (v - E * E).sign(0) >= 0:
-            x = x / E
-            k += 1
-        else:
-            break
-    sign = 1 if x.sign(0) > 0 else -1
-    # after reduction x is +-1 or +-eps^0..: x in {1,-1} exactly
-    assert x == K.elt(sign, 0), f"unit reduction failed: {x}"
-    return (sign, k % 2)
+    """Class of the unit u in O_K^*/(O_K^*)^2, encoded as (sign, eps-parity):
+    u = +-eps^k, the sign that of iota_0(u)."""
+    k, c = K.unit_reduce(u)
+    assert c == 1, f"unit reduction failed: {u}"
+    return (u.sign(0), k % 2)
 
 
 def _generated_subgroup(hits: set) -> set:
@@ -1046,46 +971,20 @@ def local_splitting(field: BaseField, p_gen: FieldElement, Dred: FieldElement) -
 
 
 def _is_residue_square(field: BaseField, p_gen: FieldElement, u: FieldElement) -> bool:
-    np_ = abs(p_gen.norm())
+    """Whether the integral u is a square mod the odd prime (p_gen), by
+    Euler's criterion u^((n-1)/2) = 1 in the residue field of n = N(p)
+    elements. n lies in p, so the powers are reduced mod n coordinatewise."""
+    n = abs(p_gen.norm())
     ip = ideal_of_element(p_gen)
-    if _is_prime_int(np_):
-        # degree-1: find t with w = t mod p
-        ell = np_
-        t = None
-        for cand in range(ell):
-            if ip.contains(field.w() - cand):
-                t = cand
-                break
-        assert t is not None
-        val = (u.a + u.b * t) % ell
-        if val == 0:
-            raise ValueError("unit part reduced to zero mod p")
-        return pow(val, (ell - 1) // 2, ell) == 1
-    # inert rational prime ell: residue field F_{ell^2}
-    ell = math.isqrt(np_)
-    assert ell * ell == np_
-    return _ff2_is_square(field, ell, (u.a % ell, u.b % ell))
-
-
-def _ff2_is_square(field: BaseField, ell: int, u) -> bool:
-    """Squareness in F_ell[w]/(w^2 - c1 w - c0)."""
-    c0, c1 = field._w2[0] % ell, field._w2[1] % ell
-
-    def mul(x, y):
-        a, b = x
-        c, d = y
-        bd = b * d % ell
-        return ((a * c + bd * c0) % ell, (a * d + b * c + bd * c1) % ell)
-
-    e = (ell * ell - 1) // 2
-    r = (1, 0)
-    base = u
+    if ip.contains(u):
+        raise ValueError("unit part reduced to zero mod p")
+    r, base, e = (1, 0), (u.a % n, u.b % n), (n - 1) // 2
     while e:
         if e & 1:
-            r = mul(r, base)
-        base = mul(base, base)
+            r = tuple(c % n for c in kmul(field, r, base))
+        base = tuple(c % n for c in kmul(field, base, base))
         e >>= 1
-    return r == (1, 0)
+    return ip.contains(field.elt(r[0] - 1, r[1]))
 
 
 def _square_mod_pi_power(field: BaseField, p_gen: FieldElement, u: FieldElement, k: int) -> bool:
@@ -1100,17 +999,6 @@ def _square_mod_pi_power(field: BaseField, p_gen: FieldElement, u: FieldElement,
             if ipk.contains(x * x - u):
                 return True
     return False
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def local_embedding_factor(order: RelativeQuadraticOrder, p: IdealK, spec: LatticeSpec) -> int:

@@ -275,6 +275,14 @@ class TestFunctionSpec:
     family: str
     params: tuple
 
+    def __post_init__(self):
+        arity = {"indicator_conv": 2, "bump": 1, "zero": 0}
+        if self.family not in arity:
+            raise ValueError(f"unknown test function family {self.family!r}")
+        if len(self.params) != arity[self.family]:
+            raise ValueError(f"test function {self.family} takes {arity[self.family]} "
+                             f"parameter(s), got {len(self.params)}")
+
     @property
     def support(self) -> float:
         if self.family == "indicator_conv":
@@ -302,25 +310,6 @@ class TestFunctionSpec:
                 return 0.0
             return math.exp(-1 / (1 - u * u))
         raise ValueError(self.family)
-
-    def h(self, r: complex) -> complex:
-        """Inverse transform int hhat(t) e^{irt} dt (hhat even)."""
-        if self.family == "zero":
-            return 0j
-        if self.family == "indicator_conv":
-            xx, eps = self.params
-            if r == 0:
-                return complex(2 * xx)
-            return (2 * _sin_over(r, xx)) * _bump_ft(eps * r)
-        s = self.params[0]
-        nodes, weights = _gl_nodes(400)
-        rr = complex(r)
-        out = 0j
-        for ti, wi in zip(nodes, weights):
-            t = s * ti
-            v = math.exp(-1 / (1 - ti * ti)) if abs(ti) < 1 else 0.0
-            out += s * wi * v * _cos_c(rr * t)
-        return out  # nodes cover (-1,1), so this is the full two-sided integral
 
     def h_identity_integral(self, tol: float = 1e-9) -> float:
         """int over R of h(r) r tanh(pi r) dr by vectorized segment summation."""
@@ -387,21 +376,9 @@ class TestFunctionSpec:
         return f"{self.family}({','.join(_fmt(p) for p in self.params)})"
 
 
-def _cos_c(z: complex) -> complex:
-    return complex(math.cos(z.real) * math.cosh(z.imag), -math.sin(z.real) * math.sinh(z.imag))
-
-
 def _exp_c(z: complex) -> complex:
     m = math.exp(z.real)
     return complex(m * math.cos(z.imag), m * math.sin(z.imag))
-
-
-def _sin_over(r: complex, xx: float) -> complex:
-    # sin(x r)/r, valid for complex r (purely imaginary included)
-    rr = complex(r)
-    s = complex(math.sin(rr.real * xx) * math.cosh(rr.imag * xx),
-                math.cos(rr.real * xx) * math.sinh(rr.imag * xx))
-    return s / rr
 
 
 _GL_CACHE: dict = {}
@@ -427,17 +404,6 @@ def _bump_integral(a: float, b: float) -> float:
     t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     vals = np.exp(-1 / np.maximum(1 - t * t, 1e-300))
     return float(0.5 * (b - a) * np.sum(weights * vals) / _BUMP_NORM)
-
-
-def _bump_ft(s: complex) -> complex:
-    """Fourier transform of the normalized bump at s (entire in s)."""
-    nodes, weights = _gl_nodes(200)
-    vals = np.exp(-1 / (1 - nodes ** 2))
-    norm = float(np.sum(weights * vals))
-    out = 0j
-    for ti, wi, vi in zip(nodes, weights, vals):
-        out += wi * vi * _cos_c(complex(s) * ti)
-    return out / norm
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,26 @@ class TestCliFlows:
                         "--m", "2", "--D", " -1+2*w"])
         assert code == 3
         capsys.readouterr()
+        # malformed input ends in exit 2 with a precondition message, not a traceback
+        table = os.path.join(os.path.dirname(__file__), "..", "data", "spectrum_m2_x10.csv")
+        cases = [
+            (["oracle", "class-number", "--m", "2", "--D", "1+w", "--d", "5"], "2x2 integer HNF"),
+            (["oracle", "class-number", "--m", "2", "--D", "1+w", "--d", "[[1,0],[1,1]]"],
+             "2x2 integer HNF"),
+            (["trace", "geometric", "--in", table, "--weight", "0", "--vol", "1.0",
+              "--testfn", "bump"], "takes 1 parameter"),
+            (["trace", "geometric", "--in", table, "--weight", "0", "--vol", "1.0",
+              "--testfn", "indicator_conv:3"], "takes 2 parameter"),
+            (["stats", "pgt", "--in", str(tmp_path / "missing.csv"), "--grid", "4"],
+             "missing.csv"),
+            (["--config", str(tmp_path / "missing.cfg"), "field", "info", "--m", "2"],
+             "missing.cfg"),
+            (["stats", "units", "--m", "2", "--T", "0"], "--T must be positive"),
+        ]
+        for argv, why in cases:
+            assert run_cli(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("precondition error:") and why in err, (argv, err)
 
     def test_empty_table_csv_header_only(self, tmp_path):
         p = str(tmp_path / "empty.csv")

@@ -11,6 +11,10 @@ from holonomy.fields import (
     factor_element,
     format_element,
     ideal_of_element,
+    k_module_rows,
+    kdiv_exact,
+    kmul,
+    knorm,
     make_field,
     parse_element,
     prime_elements_above,
@@ -358,6 +362,39 @@ class TestElementsUpToNorm:
         if a == 0 and b == 0:
             return
         assert K.canonical_associate(x) == fraction_canonical_associate(K, x)
+
+    @settings(max_examples=120, deadline=None)
+    @given(m=st.sampled_from([2, 3, 5, 13, 17]), a=st.integers(-400, 400), b=st.integers(-400, 400),
+           k=st.integers(-6, 6), s=st.sampled_from([1, -1]))
+    def test_unit_reduce_returns_exponent_and_canonical_part(self, m, a, b, k, s):
+        K = make_field(m)
+        if a == 0 and b == 0:
+            return
+        c = fraction_canonical_associate(K, K.elt(a, b))
+        assert K.unit_reduce(s * K.eps ** k * c) == (k, c)
+
+
+class TestIntegerPairs:
+    """kmul, knorm, kdiv_exact and k_module_rows against FieldElement."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.sampled_from([2, 3, 5, 13, 17]), x=st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+           y=st.tuples(st.integers(-30, 30), st.integers(-30, 30)), multiple=st.booleans())
+    def test_pairs_match_field_elements(self, m, x, y, multiple):
+        K = make_field(m)
+        if multiple:  # make exact quotients common
+            x = kmul(K, x, y)
+        ex, ey = K.elt(*x), K.elt(*y)
+        p = ex * ey
+        assert kmul(K, x, y) == (p.a, p.b)
+        assert knorm(K, x) == ex.norm()
+        if y == (0, 0):
+            assert kdiv_exact(K, x, y) is None
+            return
+        q = ex / ey
+        assert kdiv_exact(K, x, y) == ((q.a, q.b) if q.is_integral() else None)
+        xw, yw = ex * K.w(), ey * K.w()
+        assert k_module_rows(K, [x, y]) == [list(x), [xw.a, xw.b], list(y), [yw.a, yw.b]]
 
 
 class TestPrimeElements:

@@ -11,6 +11,8 @@ import pytest
 from holonomy.cli import main as cli_main
 from holonomy.fields import (
     ideal_of_element,
+    k_module_rows,
+    kdiv_exact,
     make_field,
     parse_element,
     prime_elements_above,
@@ -30,11 +32,12 @@ from holonomy.orders import (
     OrderCache,
     _class_set,
     _inverse_lattice,
+    _is_residue_square,
     _k_content_and_primitive,
-    _k_module_rows,
-    _kdiv_exact,
     _scale_rows,
+    _square_mod_pi_power,
     _trace_candidates,
+    _unit_square_class,
     build_order,
     canonical_square_class,
     class_number,
@@ -198,14 +201,14 @@ def hnf_content_and_primitive(order, rows):
     """The K-content by an HNF of the content ideal for every y, which the
     coprime-norm test now skips; kept as its oracle."""
     K = order.field
-    H = hnf(_k_module_rows(K, [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]))
+    H = hnf(k_module_rows(K, [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]))
     if H == [[1, 0], [0, 1]]:
         return K.one(), hnf(rows)
     c = K.principal_generator(H)
     prim = []
     for r in rows:
-        u = _kdiv_exact(K, (r[0], r[1]), (c.a, c.b))
-        v = _kdiv_exact(K, (r[2], r[3]), (c.a, c.b))
+        u = kdiv_exact(K, (r[0], r[1]), (c.a, c.b))
+        v = kdiv_exact(K, (r[2], r[3]), (c.a, c.b))
         prim.append([u[0], u[1], v[0], v[1]])
     return c, hnf(prim)
 
@@ -220,6 +223,84 @@ def split_list_maximal_disc(K, D):
         if o.realizable and (best is None or o.realized_disc.norm < best.norm):
             best = o.realized_disc
     return best
+
+
+def loop_canonicalize_dred(K, Dred, f):
+    """The FieldElement loop that BaseField.unit_reduce replaced in
+    _canonicalize_dred, kept as its oracle: (Dred, f) scaled by even unit
+    powers until |iota_0(Dred)| is in [sqrt|N|, sqrt|N| * iota_0(eps)^2)."""
+    E = K.eps
+    E2 = E * E
+    n_red = abs(Dred.norm())
+    x = Dred
+    while True:
+        v = x * x
+        if (v - n_red).sign(0) < 0:
+            x = x * E2
+            f = f / E
+        elif (v - E2 * E2 * n_red).sign(0) >= 0:
+            x = x / E2
+            f = f * E
+        else:
+            return x, f
+
+
+def loop_unit_square_class(K, u):
+    """The FieldElement loop that BaseField.unit_reduce replaced in
+    _unit_square_class, kept as its oracle."""
+    k = 0
+    x = u
+    E = K.eps
+    while True:
+        v = x * x
+        if (v - 1).sign(0) < 0:
+            x = x * E
+            k += 1
+        elif (v - E * E).sign(0) >= 0:
+            x = x / E
+            k += 1
+        else:
+            break
+    sign = 1 if x.sign(0) > 0 else -1
+    assert x == K.elt(sign, 0)
+    return (sign, k % 2)
+
+
+def _is_prime_int(n):
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def branch_is_residue_square(field, p_gen, u):
+    """The two-branch residue-square test that Euler's criterion replaced,
+    kept as its oracle: a scan for t = w mod p at degree-1 primes, F_ell^2
+    arithmetic at inert ones."""
+    np_ = abs(p_gen.norm())
+    ip = ideal_of_element(p_gen)
+    if _is_prime_int(np_):
+        ell = np_
+        t = next(cand for cand in range(ell) if ip.contains(field.w() - cand))
+        val = (u.a + u.b * t) % ell
+        if val == 0:
+            raise ValueError("unit part reduced to zero mod p")
+        return pow(val, (ell - 1) // 2, ell) == 1
+    ell = math.isqrt(np_)
+    assert ell * ell == np_
+    c0, c1 = field._w2[0] % ell, field._w2[1] % ell
+
+    def mul(x, y):
+        a, b = x
+        c, d = y
+        bd = b * d % ell
+        return ((a * c + bd * c0) % ell, (a * d + b * c + bd * c1) % ell)
+
+    e = (ell * ell - 1) // 2
+    r, base = (1, 0), (u.a % ell, u.b % ell)
+    while e:
+        if e & 1:
+            r = mul(r, base)
+        base = mul(base, base)
+        e >>= 1
+    return r == (1, 0)
 
 
 def record_cold_x5(d, patches):
@@ -723,6 +804,54 @@ class TestLocalData:
             vals[local_splitting(K2, pg, Dred)] = local_embedding_factor(
                 O, ideal_of_element(pg), spec)
         assert vals == {"ramified": 1, "inert": 2}
+
+
+class TestOneUnitWindow:
+    """_canonicalize_dred and _unit_square_class read BaseField.unit_reduce;
+    the loops they replaced are the oracles."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13, 17])
+    def test_dred_and_f_match_loop_on_every_split(self, m):
+        K = make_field(m)
+        n_splits = 0
+        for t in enumerate_traces(K, 7.0) + enumerate_elliptic_traces(K):
+            D = t * t - 4
+            for dd, ff in square_divisor_splits(D):
+                f0 = ff.generator(K)
+                O = build_order(K, D, dd, ff)
+                assert (O.Dred, O.f_elt) == loop_canonicalize_dred(K, D / (f0 * f0), f0)
+                n_splits += 1
+        assert n_splits > 20
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13, 17])
+    def test_unit_square_class_matches_loop(self, m):
+        K = make_field(m)
+        for k in range(-8, 9):
+            for s in (1, -1):
+                u = s * K.eps ** k
+                assert _unit_square_class(K, u) == loop_unit_square_class(K, u)
+
+
+class TestResidueSquares:
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 7, 13, 17])
+    def test_euler_criterion_matches_branches_and_brute_force(self, m):
+        K = make_field(m)
+        compared = 0
+        for ell in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+            for pi in prime_elements_above(K, ell):
+                ip = ideal_of_element(pi)
+                for a in range(-6, 7):
+                    for b in range(-6, 7):
+                        u = K.elt(a, b)
+                        if ip.contains(u):
+                            with pytest.raises(ValueError):
+                                _is_residue_square(K, pi, u)
+                            continue
+                        got = _is_residue_square(K, pi, u)
+                        assert got == branch_is_residue_square(K, pi, u), (ell, pi, u)
+                        assert got == _square_mod_pi_power(K, pi, u, 1), (ell, pi, u)
+                        compared += 1
+        assert compared > 2000
 
 
 class TestEmbeddingCounts:
