@@ -67,6 +67,11 @@ class CsvRow:
         self.certified = certified
 
 
+# the CSV_COLUMNS that table_from_csv reads
+_CSV_READ = ("t_a", "t_b", "length", "folded_angle", "q", "primitive_length",
+             "multiplicity_lo", "multiplicity_hi", "certified")
+
+
 def table_from_csv(text: str) -> GeodesicTable:
     from .orders import Multiplicity
 
@@ -77,11 +82,19 @@ def table_from_csv(text: str) -> GeodesicTable:
             k, _, v = part.partition("=")
             meta[k] = v
         lines = lines[1:]
+    if not lines:
+        raise ValueError("not a geodesic table CSV: no header line")
     header = lines[0].split(",")
     idx = {c: i for i, c in enumerate(header)}
+    missing = [c for c in _CSV_READ if c not in idx]
+    if missing:
+        raise ValueError(f"not a geodesic table CSV: header lacks {', '.join(missing)}")
     rows = []
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:], start=1):
         vals = ln.split(",")
+        if len(vals) != len(header):
+            raise ValueError(f"geodesic table CSV data row {n} has {len(vals)} fields, "
+                             f"its header {len(header)}")
         mult = Multiplicity(Fraction(vals[idx["multiplicity_lo"]]),
                             Fraction(vals[idx["multiplicity_hi"]]),
                             vals[idx["certified"]] == "true")

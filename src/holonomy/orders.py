@@ -27,6 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -111,7 +112,8 @@ def canonical_square_class(D: FieldElement) -> FieldElement:
     """Canonical representative of D modulo squares of K^*.
 
     Squarefree ideal kernel times the unique unit class in {1,-1,eps,-eps}
-    making the quotient a square.
+    making the quotient a square. A nonzero square is totally positive, so
+    only a candidate with D's sign at both places is divided and tested.
     """
     K = D.field
     _, fac = factor_element(D)
@@ -120,15 +122,53 @@ def canonical_square_class(D: FieldElement) -> FieldElement:
         if e % 2:
             g = g * pi
     g = K.canonical_associate(g) if (g.a, g.b) != (1, 0) else K.one()
+    signs = (D.sign(0), D.sign(1))
     for u in (K.one(), -K.one(), K.eps, -K.eps):
         cand = u * g
-        if sqrt_in_K(D / cand) is not None:
+        if (cand.sign(0), cand.sign(1)) == signs and sqrt_in_K(D / cand) is not None:
             return cand
     raise AssertionError("no unit class matched the square kernel")
 
 
 # ---------------------------------------------------------------------------
 # the order
+
+
+@lru_cache(maxsize=None)
+def _parity_basis(K: BaseField, dred4: tuple):
+    """(rows2, bg, a0) for every Dred == dred4 mod 4: one table entry per
+    field and residue class dred4 = (Dred.a mod 4, Dred.b mod 4), at most
+    16 a field.
+
+    The order is the integral span of (a + b s)/2, s = sqrt(Dred), over the
+    parity classes a, b in {0, 1} + {0, 1}w with a^2 - b^2 Dred == 0 mod 4,
+    and that condition reads Dred only mod 4 (Cohen, GTM 138, sec. 5.2, for
+    the quadratic case). rows2 is the HNF of twice its coordinates over
+    (1, w, s, w s); bg generates the ideal of s-coefficients and a0 is the
+    parity class paired with it, so xi = (a0 + bg s)/2. The check that
+    O = O_K + O_K xi runs here, once per entry. Everything returned is a
+    tuple, since every order of the class shares it."""
+    sols = []
+    for a0, a1, b0, b1 in product((0, 1), repeat=4):
+        aa, bb = kmul(K, (a0, a1), (a0, a1)), kmul(K, (b0, b1), (b0, b1))
+        bbr = kmul(K, bb, dred4)
+        if (aa[0] - bbr[0]) % 4 == 0 and (aa[1] - bbr[1]) % 4 == 0:
+            sols.append(((a0, a1), (b0, b1)))
+    # z-basis over (1, w, s, w s), scaled by 2 to integer rows
+    rows = [[2, 0, 0, 0], [0, 0, 2, 0], [0, 2, 0, 0], [0, 0, 0, 2]]
+    rows += [[a[0], a[1], b[0], b[1]] for a, b in sols]
+    rows2 = tuple(tuple(row) for row in hnf(rows))
+    # the ideal of sqrt coefficients and a module generator xi
+    g = K.principal_generator(hnf([[2, 0], [0, 2]] + [list(b) for _, b in sols]))
+    assert g is not None
+    bg = (g.a, g.b)
+    a0 = next((a for a, b in sols if (bg[0] - b[0]) % 2 == 0 and (bg[1] - b[1]) % 2 == 0), None)
+    assert a0 is not None, "no parity class matches the coefficient ideal generator"
+    # verify O = O_K + O_K xi as lattices
+    wa, wb = kmul(K, (0, 1), a0), kmul(K, (0, 1), bg)
+    xi_rows = [[2, 0, 0, 0], [0, 2, 0, 0], [a0[0], a0[1], bg[0], bg[1]], [wa[0], wa[1], wb[0], wb[1]]]
+    assert hnf_key(xi_rows) == hnf_key(rows2), "order is not O_K[xi]"
+    return rows2, bg, a0
 
 
 @dataclass(frozen=True)
@@ -162,7 +202,8 @@ class RelativeQuadraticOrder:
             raise ScopeError("relative orders require h_K = 1")
         if D.a == 0 and D.b == 0:
             raise ValueError("D must be nonzero")
-        if sqrt_in_K(D) is not None:
+        # a nonzero square is totally positive: take the root only then
+        if D.sign(0) > 0 and D.sign(1) > 0 and sqrt_in_K(D) is not None:
             raise ValueError("D must not be a square in K")
         self.field = field
         self.D = D
@@ -201,51 +242,27 @@ class RelativeQuadraticOrder:
 
     # -- structure ---------------------------------------------------------
     def _build_basis(self):
+        """O_K[xi] with xi = (xi_a + xi_b sqrt(Dred))/2, from the parity table.
+
+        The Z-basis, xi_a and xi_b depend on Dred only through Dred mod 4
+        (see _parity_basis), so they are read from the field's table entry
+        for (Dred.a mod 4, Dred.b mod 4), whose O = O_K[xi] check ran when
+        the entry was built. Only q and the realized discriminant are
+        computed per order."""
         K = self.field
-        Dr = self.Dred
-        sols = []
-        for a0, a1, b0, b1 in product((0, 1), repeat=4):
-            a = K.elt(a0, a1)
-            b = K.elt(b0, b1)
-            val = a * a - b * b * Dr
-            if (val.a % 4 == 0) and (val.b % 4 == 0):
-                sols.append((a, b))
-        # z-basis over (1, w, r, w r), scaled by 2 to integer rows
-        rows = []
-        for base in (K.one(), K.w()):
-            rows.append([2 * base.a, 2 * base.b, 0, 0])
-            rows.append([0, 0, 2 * base.a, 2 * base.b])
-        for a, b in sols:
-            rows.append([a.a, a.b, b.a, b.b])
-        self._rows2 = hnf(rows)  # integer rows = 2 * coordinates over (1,w,r,wr)
-        # the ideal of sqrt coefficients and a module generator xi
-        bideal_rows = hnf([[2, 0], [0, 2]] + [[b.a, b.b] for _, b in sols])
-        bg = K.principal_generator(bideal_rows)
-        assert bg is not None
-        a0 = None
-        for a, b in sols:
-            if in_lattice([(bg - b).a, (bg - b).b], [[2, 0], [0, 2]]):
-                a0 = a
-                break
-        assert a0 is not None, "no parity class matches the coefficient ideal generator"
-        self.xi_a = a0  # xi = (xi_a + xi_b * sqrt(Dred)) / 2
-        self.xi_b = bg
-        # xi^2 = p xi + q, with p and q in O_K kept as integer pairs
-        q = (bg * bg * Dr - a0 * a0) / 4
-        assert q.is_integral()
-        self.p_coef, self.q_coef = (a0.a, a0.b), (q.a, q.b)
-        # realized relative discriminant (xi - conj xi)^2 = bg^2 Dred
-        self.realized_disc = ideal_of_element(bg * bg * Dr)
+        Dr = (self.Dred.a, self.Dred.b)
+        self._rows2, bg, a0 = _parity_basis(K, (Dr[0] % 4, Dr[1] % 4))
+        self.xi_a = K.elt(*a0)  # xi = (xi_a + xi_b * sqrt(Dred)) / 2
+        self.xi_b = K.elt(*bg)
+        # xi^2 = p xi + q, with p and q in O_K kept as integer pairs:
+        # q = (bg^2 Dred - a0^2) / 4, and (xi - conj xi)^2 = bg^2 Dred
+        disc = kmul(K, kmul(K, bg, bg), Dr)
+        aa = kmul(K, a0, a0)
+        q0, q1 = disc[0] - aa[0], disc[1] - aa[1]
+        assert q0 % 4 == 0 and q1 % 4 == 0
+        self.p_coef, self.q_coef = a0, (q0 // 4, q1 // 4)
+        self.realized_disc = ideal_of_element(K.elt(*disc))
         self.realizable = self.realized_disc.rows == self.d_ideal.rows
-        # verify O = O_K + O_K xi as lattices
-        xi_rows = [
-            [2, 0, 0, 0],
-            [0, 2, 0, 0],
-            [a0.a, a0.b, bg.a, bg.b],
-        ]
-        wxi = (K.w() * a0, K.w() * bg)
-        xi_rows.append([wxi[0].a, wxi[0].b, wxi[1].a, wxi[1].b])
-        assert hnf_key(xi_rows) == hnf_key(self._rows2), "order is not O_K[xi]"
 
     @property
     def z_basis(self):

@@ -282,6 +282,16 @@ class TestFunctionSpec:
         if len(self.params) != arity[self.family]:
             raise ValueError(f"test function {self.family} takes {arity[self.family]} "
                              f"parameter(s), got {len(self.params)}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError(f"test function {self.family} parameters must be finite, got {self.params}")
+        if self.family == "bump" and not self.params[0] > 0:
+            raise ValueError(f"bump support s must be positive, got {self.params[0]}")
+        if self.family == "indicator_conv":
+            xx, eps = self.params
+            if not xx >= 0:
+                raise ValueError(f"indicator_conv half-width x must be >= 0, got {xx}")
+            if not eps > 0:
+                raise ValueError(f"indicator_conv smoothing eps must be positive, got {eps}")
 
     @property
     def support(self) -> float:

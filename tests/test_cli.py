@@ -143,6 +143,28 @@ class TestCliFlows:
              "missing.cfg"),
             (["stats", "units", "--m", "2", "--T", "0"], "--T must be positive"),
         ]
+        geometric = ["trace", "geometric", "--in", table, "--weight", "2", "--vol", "1.0", "--testfn"]
+        cases += [
+            (geometric + ["bump:-3"], "bump support s must be positive"),
+            (geometric + ["bump:0"], "bump support s must be positive"),
+            (geometric + ["bump:inf"], "must be finite"),
+            (geometric + ["bump:nan"], "must be finite"),
+            (geometric + ["indicator_conv:1,0"], "smoothing eps must be positive"),
+            (geometric + ["indicator_conv:1,-0.5"], "smoothing eps must be positive"),
+            (geometric + ["indicator_conv:-1,0.5"], "half-width x must be >= 0"),
+        ]
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        short_row = tmp_path / "short_row.csv"
+        with open(table) as fh:
+            head = fh.read().splitlines()[:2]
+        short_row.write_text("\n".join(head + ["1,0,3"]) + "\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        cases += [
+            (["stats", "pgt", "--in", readme, "--grid", "4"], "header lacks t_a"),
+            (["stats", "pgt", "--in", str(short_row), "--grid", "4"], "data row 1 has 3 fields"),
+            (["stats", "pgt", "--in", str(empty), "--grid", "4"], "no header line"),
+        ]
         for argv, why in cases:
             assert run_cli(argv) == 2, argv
             err = capsys.readouterr().err

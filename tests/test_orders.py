@@ -3,13 +3,17 @@ import math
 import re
 import shutil
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from holonomy.cli import main as cli_main
 from holonomy.fields import (
+    factor_element,
     ideal_of_element,
     k_module_rows,
     kdiv_exact,
@@ -34,6 +38,7 @@ from holonomy.orders import (
     _inverse_lattice,
     _is_residue_square,
     _k_content_and_primitive,
+    _parity_basis,
     _scale_rows,
     _square_mod_pi_power,
     _trace_candidates,
@@ -56,7 +61,7 @@ from holonomy.orders import (
     torsion_units,
     unit_norm_index,
 )
-from holonomy.intlinalg import hnf, pivot_product
+from holonomy.intlinalg import hnf, hnf_key, in_lattice, pivot_product
 from holonomy.spectrum import classify_elliptic_trace, enumerate_elliptic_traces, enumerate_traces
 
 K2 = make_field(2)
@@ -301,6 +306,79 @@ def branch_is_residue_square(field, p_gen, u):
         base = mul(base, base)
         e >>= 1
     return r == (1, 0)
+
+
+def per_order_basis(K, Dr, d_ideal):
+    """The per-order 2-adic basis that the parity table (_parity_basis)
+    replaced in RelativeQuadraticOrder._build_basis, kept as its oracle:
+    the parity classes, the HNFs, the coefficient-ideal generator and the
+    O = O_K[xi] check, recomputed for every order."""
+    sols = []
+    for a0, a1, b0, b1 in product((0, 1), repeat=4):
+        a = K.elt(a0, a1)
+        b = K.elt(b0, b1)
+        val = a * a - b * b * Dr
+        if (val.a % 4 == 0) and (val.b % 4 == 0):
+            sols.append((a, b))
+    rows = []
+    for base in (K.one(), K.w()):
+        rows.append([2 * base.a, 2 * base.b, 0, 0])
+        rows.append([0, 0, 2 * base.a, 2 * base.b])
+    for a, b in sols:
+        rows.append([a.a, a.b, b.a, b.b])
+    rows2 = hnf(rows)
+    bideal_rows = hnf([[2, 0], [0, 2]] + [[b.a, b.b] for _, b in sols])
+    bg = K.principal_generator(bideal_rows)
+    assert bg is not None
+    a0 = None
+    for a, b in sols:
+        if in_lattice([(bg - b).a, (bg - b).b], [[2, 0], [0, 2]]):
+            a0 = a
+            break
+    assert a0 is not None
+    q = (bg * bg * Dr - a0 * a0) / 4
+    assert q.is_integral()
+    realized_disc = ideal_of_element(bg * bg * Dr)
+    xi_rows = [[2, 0, 0, 0], [0, 2, 0, 0], [a0.a, a0.b, bg.a, bg.b]]
+    wxi = (K.w() * a0, K.w() * bg)
+    xi_rows.append([wxi[0].a, wxi[0].b, wxi[1].a, wxi[1].b])
+    assert hnf_key(xi_rows) == hnf_key(rows2)
+    return {
+        "rows2": [list(r) for r in rows2], "xi_a": a0, "xi_b": bg,
+        "p_coef": (a0.a, a0.b), "q_coef": (q.a, q.b),
+        "realized_disc": realized_disc.rows, "realizable": realized_disc.rows == d_ideal.rows,
+    }
+
+
+def order_basis(O):
+    """The fields of an order that per_order_basis computes."""
+    return {
+        "rows2": [list(r) for r in O._rows2], "xi_a": O.xi_a, "xi_b": O.xi_b,
+        "p_coef": O.p_coef, "q_coef": O.q_coef,
+        "realized_disc": O.realized_disc.rows, "realizable": O.realizable,
+    }
+
+
+def unguarded_canonical_square_class(D):
+    """canonical_square_class before its sign guard, kept as its oracle: a
+    square root is tried for every unit class."""
+    K = D.field
+    _, fac = factor_element(D)
+    g = K.one()
+    for pi, e in fac:
+        if e % 2:
+            g = g * pi
+    g = K.canonical_associate(g) if (g.a, g.b) != (1, 0) else K.one()
+    for u in (K.one(), -K.one(), K.eps, -K.eps):
+        cand = u * g
+        if sqrt_in_K(D / cand) is not None:
+            return cand
+    raise AssertionError("no unit class matched the square kernel")
+
+
+def unguarded_is_square(D):
+    """The constructor's square check before its sign guard, kept as its oracle."""
+    return sqrt_in_K(D) is not None
 
 
 def record_cold_x5(d, patches):
@@ -973,3 +1051,107 @@ class TestArithmeticCache:
         with pytest.raises(ValueError):
             LatticeSpec(2, (ideal_of_element(K2.elt(0, 1)),), 0)
         LatticeSpec(2, (), 2)  # even: fine
+
+
+RESIDUES = list(product(range(4), repeat=2))
+
+
+class TestParityTable:
+    """RelativeQuadraticOrder._build_basis reads the field's parity table,
+    and the square tests check signs first; the per-order basis and the
+    unguarded square tests they replaced are the oracles."""
+
+    @staticmethod
+    def _assert_entry_matches(K, r, Dr):
+        rows2, bg, a0 = _parity_basis(K, r)
+        ref = per_order_basis(K, Dr, ideal_of_element(Dr))
+        assert ([list(x) for x in rows2], K.elt(*a0), K.elt(*bg)) == (ref["rows2"], ref["xi_a"], ref["xi_b"])
+
+    @staticmethod
+    def _assert_square_tests_match(K, D):
+        assert canonical_square_class(D) == unguarded_canonical_square_class(D), D
+        args = (K, D, ideal_of_element(D), ideal_of_element(K.one()))
+        if unguarded_is_square(D):
+            with pytest.raises(ValueError, match="must not be a square"):
+                build_order(*args)
+            return True
+        build_order(*args)
+        return False
+
+    @pytest.mark.parametrize("m,x", [(2, 10.0), (3, 6.0), (5, 6.0), (13, 6.0)])
+    def test_table_matches_per_order_basis_on_every_split(self, m, x):
+        K = make_field(m)
+        classes, n_splits = set(), 0
+        for t in enumerate_traces(K, x) + enumerate_elliptic_traces(K):
+            D = t * t - 4
+            for dd, ff in square_divisor_splits(D):
+                O = build_order(K, D, dd, ff)
+                assert order_basis(O) == per_order_basis(K, O.Dred, dd), (t, dd)
+                classes.add((O.Dred.a % 4, O.Dred.b % 4))
+                n_splits += 1
+        assert n_splits > 40
+        if m == 2:  # the x=10 table reads every one of the 16 entries
+            assert len(classes) == 16
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    @settings(max_examples=100, deadline=None)
+    @given(r=st.sampled_from(RESIDUES), k0=st.integers(-25, 25), k1=st.integers(-25, 25))
+    def test_table_matches_per_order_basis_on_drawn_dred(self, m, r, k0, k1):
+        K = make_field(m)
+        Dr = K.elt(r[0] + 4 * k0, r[1] + 4 * k1)
+        assume(Dr != 0 and not unguarded_is_square(Dr))
+        self._assert_entry_matches(K, r, Dr)
+        for dd, ff in square_divisor_splits(Dr):
+            O = build_order(K, Dr, dd, ff)
+            assert order_basis(O) == per_order_basis(K, O.Dred, dd), dd
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    def test_every_residue_class_has_a_checked_entry(self, m):
+        K = make_field(m)
+        for r in RESIDUES:
+            self._assert_entry_matches(K, r, K.elt(r[0] + 4, r[1]))
+            assert _parity_basis(K, r) is _parity_basis(K, r)
+
+    @staticmethod
+    def _square_samples(K):
+        e = K.eps
+        out = [e * e, 4 * e * e, -(e * e), 9 * e ** 4, K.elt(9), K.elt(-1), e, -e, K.elt(2),
+               K.elt(8), K.w() * K.w(), K.elt(0, 1) * 3, K.elt(-1, 2), K.elt(3, -5) ** 2]
+        return out + [t * t - 4 for t in enumerate_traces(K, 5.0) + enumerate_elliptic_traces(K)]
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    def test_square_tests_match_unguarded(self, m):
+        K = make_field(m)
+        n_squares = sum(self._assert_square_tests_match(K, D) for D in self._square_samples(K))
+        assert n_squares >= 5
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.integers(-9, 9), b=st.integers(-9, 9), u=st.integers(0, 3),
+           c=st.sampled_from([(1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (-1, 2), (5, -3)]))
+    def test_square_tests_match_unguarded_on_drawn_d(self, m, a, b, u, c):
+        K = make_field(m)
+        x = K.elt(a, b)
+        assume(x != 0)
+        self._assert_square_tests_match(K, (K.one(), -K.one(), K.eps, -K.eps)[u] * K.elt(*c) * x * x)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    def test_roots_are_taken_of_totally_positive_elements_only(self, m, monkeypatch):
+        K = make_field(m)
+        seen = []
+
+        def spy(x):
+            seen.append(x)
+            return sqrt_in_K(x)
+
+        monkeypatch.setattr(holonomy.orders, "sqrt_in_K", spy)
+        for D in self._square_samples(K):
+            seen.clear()
+            canonical_square_class(D)
+            # one matching unit class when N(eps) = -1, two when eps >> 0
+            assert 1 <= len(seen) <= (1 if K.eps_norm == -1 else 2), D
+            try:
+                build_order(K, D, ideal_of_element(D), ideal_of_element(K.one()))
+            except ValueError:
+                pass
+            assert all(x.sign(0) > 0 and x.sign(1) > 0 for x in seen), D
