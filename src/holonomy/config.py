@@ -30,32 +30,53 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+_INT_KEYS = ("precision_bits", "principality_budget", "seed")
+_FLOAT_KEYS = ("unit_search_height", "ideal_bound_scale")
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_FORMATS = ("csv", "json", "text")
+
+
+def _typed_value(key: str, v: str):
+    if key in _INT_KEYS:
+        return int(v)
+    if key in _FLOAT_KEYS:
+        return float(v)
+    if key == "strict":
+        if v.lower() not in _BOOLS:
+            raise ValueError(f"expected one of 1/true/yes/0/false/no, got {v!r}")
+        return _BOOLS[v.lower()]
+    if key == "output_format":
+        if v not in _FORMATS:
+            raise ValueError(f"expected one of {'/'.join(_FORMATS)}, got {v!r}")
+        return v
+    if key == "cache_path":
+        return v
+    raise ValueError("unknown key")
+
+
 def load_config_file(path: str) -> dict:
-    """Plain-text key=value config; '#' comments and blank lines ignored."""
+    """Plain-text key=value config, typed as RunConfig fields; '#' comments
+    and blank lines ignored. A line without '=', an unknown key or a value
+    of the wrong kind raises ValueError naming the file, the line and the key."""
     out: dict = {}
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            k, _, v = line.partition("=")
-            out[k.strip()] = v.strip()
+            k, eq, v = line.partition("=")
+            k = k.strip()
+            if not eq:
+                raise ValueError(f"config file {path} line {n}: expected key=value, got {line!r}")
+            try:
+                out[k] = _typed_value(k, v.strip())
+            except ValueError as e:
+                raise ValueError(f"config file {path} line {n}: key {k!r}: {e}") from None
     return out
 
 
 def config_from_sources(file_path: str | None = None, **overrides) -> RunConfig:
-    vals: dict = {}
-    if file_path:
-        raw = load_config_file(file_path)
-        for k, v in raw.items():
-            if k in ("precision_bits", "principality_budget", "seed"):
-                vals[k] = int(v)
-            elif k in ("unit_search_height", "ideal_bound_scale"):
-                vals[k] = float(v)
-            elif k == "strict":
-                vals[k] = v.lower() in ("1", "true", "yes")
-            else:
-                vals[k] = v
+    vals = load_config_file(file_path) if file_path else {}
     for k, v in overrides.items():
         if v is not None:
             vals[k] = v

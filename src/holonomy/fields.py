@@ -473,34 +473,17 @@ class BaseField:
     # -- bounded exact searches --------------------------------------------------------
     def elements_of_norm(self, n: int, lattice_rows=None):
         """Canonical associates (sorted by iota_0, a, b) of all x with |N(x)| = n
-        in the ideal spanned by lattice_rows over (1, w) (default O_K).
-
-        Strip search: x = (X + Y*sqrt(m))/c, c = 2 if m = 1 mod 4 else 1, so
-        X^2 - m*Y^2 = +-c^2*n (X = Y mod 2 follows when c = 2). A canonical x
-        has 0 < iota_0 < sqrt(n)*eps and |iota_1| <= sqrt(n), so X >= 0 and
-        0 <= Y = c*(iota_0 - iota_1)/(2*sqrt(m)) <= Ymax, bounded exactly via
-        the rational enclosure of eps; each Y gives X by isqrt: O(sqrt n)
-        integer steps. A lattice that is not an O_K-ideal raises ValueError:
-        membership must not depend on the associate.
+        in the ideal spanned by lattice_rows over (1, w) (default O_K): the
+        norm window of _norm_window with lo = hi = n, two isqrt per Y. A
+        lattice that is not an O_K-ideal raises ValueError: membership must
+        not depend on the associate.
         """
         if n <= 0:
             raise ValueError("n must be positive")
         ideal = hnf([list(r) for r in lattice_rows or [[1, 0], [0, 1]]])
         if not self._is_ideal(ideal):
             raise ValueError(f"lattice {ideal} is not an O_K-ideal")
-        cc = 4 if self._half_basis else 1
-        out = []
-        for Y in range(self._ymax(n) + 1):
-            for s in (1, -1):
-                t = self.m * Y * Y + s * cc * n
-                if t < 0:
-                    continue
-                X = math.isqrt(t)
-                if X * X != t or not self._is_canonical_xy(X, Y):
-                    continue
-                x = self._from_xy(X, Y)
-                if in_lattice([x.a, x.b], ideal):
-                    out.append(x)
+        out = [x for _, x in self._norm_window(n, n) if in_lattice([x.a, x.b], ideal)]
         out.sort(key=lambda z: (z.approx(0), z.a, z.b))
         return out
 
@@ -510,30 +493,50 @@ class BaseField:
 
     def elements_up_to_norm(self, bound: int) -> dict:
         """dict n -> canonical elements (up to units) with |N| = n <= bound,
-        each list sorted as in elements_of_norm.
-
-        The strip of elements_of_norm for all n <= bound at once: for each
-        0 <= Y <= Ymax(bound), the X >= 0 with |X^2 - m*Y^2| <= c^2*bound form
-        a range bounded by isqrt, and the canonical ones are kept. The table
-        is cached; a larger bound rebuilds it at no less than twice the
-        cached bound, so a rising sequence of bounds rebuilds it rarely.
+        each list sorted as in elements_of_norm: the norm window of
+        _norm_window with lo = 1. The table is cached; a larger bound
+        rebuilds it at no less than twice the cached bound, so a rising
+        sequence of bounds rebuilds it rarely.
         """
         if self._norm_table is None or self._norm_table[0] < bound:
             top = max(bound, 2 * self._norm_table[0]) if self._norm_table else bound
-            cc = 4 if self._half_basis else 1
             out: dict[int, list] = {}
-            for Y in range(self._ymax(top) + 1):
-                mY2 = self.m * Y * Y
-                lo = mY2 - cc * top
-                X0 = math.isqrt(lo - 1) + 1 if lo > 0 else 0
-                for X in range(X0, math.isqrt(mY2 + cc * top) + 1):
-                    if (cc == 4 and (X - Y) % 2) or not self._is_canonical_xy(X, Y):
-                        continue
-                    out.setdefault(abs(X * X - mY2) // cc, []).append(self._from_xy(X, Y))
+            for n, x in self._norm_window(1, top):
+                out.setdefault(n, []).append(x)
             for lst in out.values():
                 lst.sort(key=lambda z: (z.approx(0), z.a, z.b))
             self._norm_table = (top, out)
         return {n: lst for n, lst in self._norm_table[1].items() if n <= bound}
+
+    def _norm_window(self, lo: int, hi: int):
+        """(|N(x)|, x) for every canonical x with lo <= |N(x)| <= hi, lo >= 1.
+
+        Strip search: x = (X + Y*sqrt(m))/c, c = 2 if m = 1 mod 4 else 1, so
+        X^2 - m*Y^2 = +-c^2*N(x) with X = Y mod 2 when c = 2. A canonical x
+        has 0 < iota_0 < sqrt|N|*eps and |iota_1| <= sqrt|N|, so X >= 0 and
+        0 <= Y = c*(iota_0 - iota_1)/(2*sqrt(m)) <= Ymax, bounded exactly via
+        the rational enclosure of eps. For each Y the X of either sign of
+        N(x) form a range bounded by isqrt, one isqrt per range when lo = hi.
+        """
+        cc = 4 if self._half_basis else 1
+        windows = ((cc * lo, cc * hi), (-cc * hi, -cc * lo))
+        for Y in range(self._ymax(hi) + 1):
+            mY2 = self.m * Y * Y
+            for dlo, dhi in windows:
+                A, B = mY2 + dlo, mY2 + dhi  # the X >= 0 with A <= X^2 <= B
+                if B < 0:
+                    continue
+                X1 = math.isqrt(B)
+                if lo == hi:
+                    if X1 * X1 != B:
+                        continue
+                    X0 = X1
+                else:
+                    X0 = math.isqrt(A - 1) + 1 if A > 0 else 0
+                for X in range(X0, X1 + 1):
+                    if (cc == 4 and (X - Y) % 2) or not self._is_canonical_xy(X, Y):
+                        continue
+                    yield abs(X * X - mY2) // cc, self._from_xy(X, Y)
 
     def _ymax(self, n: int) -> int:
         """Bound on Y = c*(iota_0 - iota_1)/(2*sqrt(m)) over canonical x with
@@ -563,19 +566,27 @@ class BaseField:
         s = self.eps_norm
         return not (s * (X * e1 - self.m * Y * e2) >= 0 and s * (Y * e1 - X * e2) >= 0)
 
-    def trace_strip(self, R: float):
-        """Elements a + b*w with |iota_1| < 2, padded by one value of a on
-        each side, for |b| <= (R + 2)/(iota_0(w) - iota_1(w)) + 2.
-
-        A superset of the x with |iota_0(x)| <= R and |iota_1(x)| < 2, since
-        b*(iota_0(w) - iota_1(w)) = iota_0(x) - iota_1(x): O(R) elements, and
-        each caller makes its own exact tests. Symmetric under x -> -x.
+    def trace_strip(self, R: float) -> list:
+        """x = a + b*w with iota_0(x) >= 0 and |iota_1(x)| < 2 (exact signs)
+        for |b| <= (R + 2)/(iota_0(w) - iota_1(w)) + 2, sorted by
+        (iota_0, a, b): one of each +-x, since the a-window (|iota_1| < 2,
+        padded by one) is symmetric under x -> -x; 0 included. The b-window
+        holds every such x with iota_0(x) <= R, as b*(iota_0(w) - iota_1(w))
+        = iota_0(x) - iota_1(x): O(R) elements. Callers cut the iota_0 range.
         """
-        w0, w1 = self.w().approx(0), self.w().approx(1)
-        bmax = int((R + 2) / abs(w0 - w1)) + 2
+        m, w1 = self.m, self.w().approx(1)
+        bmax = int((R + 2) / abs(self.w().approx(0) - w1)) + 2
+        c = 2 if self._half_basis else 1
+        out = []
         for b in range(-bmax, bmax + 1):
             for a in range(math.floor(-2 - b * w1) - 1, math.ceil(2 - b * w1) + 2):
-                yield FieldElement(self, a, b)
+                X, Y = (2 * a + b, b) if self._half_basis else (a, b)
+                # exact: iota_0 >= 0, then -2 < iota_1 = (X - Y*sqrt(m))/c < 2
+                if (sign_p_q_sqrt(X, Y, m) >= 0 and sign_p_q_sqrt(X - 2 * c, -Y, m) < 0
+                        and sign_p_q_sqrt(X + 2 * c, -Y, m) > 0):
+                    out.append(FieldElement(self, a, b))
+        out.sort(key=lambda z: (z.approx(0), z.a, z.b))
+        return out
 
     def canonical_associate(self, x: FieldElement) -> FieldElement:
         """Associate of x with iota_0 > 0 and iota_0 in [sqrt|N|, sqrt|N|*eps),

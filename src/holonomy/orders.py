@@ -264,11 +264,6 @@ class RelativeQuadraticOrder:
         self.realized_disc = ideal_of_element(K.elt(*disc))
         self.realizable = self.realized_disc.rows == self.d_ideal.rows
 
-    @property
-    def z_basis(self):
-        """Z-basis of the order, exact coordinates over (1, w, r, w r)."""
-        return [[Fraction(x, 2) for x in row] for row in self._rows2]
-
     # -- element helpers (u + v xi with u, v in O_K as int pairs) ------------
     def mul(self, x, y):
         """Multiply order elements given as ((u_a,u_b),(v_a,v_b)) int pairs."""
@@ -407,36 +402,14 @@ def relative_fundamental_unit(order: RelativeQuadraticOrder, iota0_cap: float = 
 
 
 def _trace_candidates(K: BaseField, T: float, T_prev: float | None = None):
-    """Elements a of O_K with 2 < iota_0(a) <= T and |iota_1(a)| < 2, ordered;
-    with T_prev, only those whose iota_0 is above T_prev."""
-    uniq = {}
-    for x in K.trace_strip(T):
-        if x.sign(0) < 0:
-            x = -x
-        if (x - 2).sign(0) <= 0:
-            continue
-        v = x.approx(0)
-        if v > T + 1e-9 or (T_prev is not None and v <= T_prev + 1e-9):
-            continue
-        if not ((x - 2).sign(1) < 0 and (x + 2).sign(1) > 0):
-            continue
-        uniq[x.a, x.b] = x
-    return sorted(uniq.values(), key=lambda z: (z.approx(0), z.a, z.b))
+    """Elements a of O_K with 2 < iota_0(a) <= T and |iota_1(a)| < 2, ordered
+    by (iota_0, a, b): the part of BaseField.trace_strip(T) above 2 (an exact
+    sign); with T_prev, only those whose iota_0 is above T_prev."""
+    lo = -math.inf if T_prev is None else T_prev + 1e-9
+    return [x for x in K.trace_strip(T) if (x - 2).sign(0) > 0 and lo < x.approx(0) <= T + 1e-9]
 
 
 _STD_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-def torsion_units(order: RelativeQuadraticOrder) -> int:
-    """Number of roots of unity in the order.
-
-    A hyperbolic-elliptic order has a real embedding, so only +-1. For the
-    totally-elliptic (CM) signature all relative-norm-one elements are roots
-    of unity, counted by an exact box scan.
-    """
-    if order.signature == HYPERBOLIC_ELLIPTIC:
-        return 2
-    return norm_one_group_size(order)
 
 
 def norm_one_group_size(order: RelativeQuadraticOrder) -> int:
@@ -444,9 +417,9 @@ def norm_one_group_size(order: RelativeQuadraticOrder) -> int:
     if order.signature != TOTALLY_ELLIPTIC:
         raise ValueError("finite norm-one group needs totally-elliptic signature")
     # rel_norm(x) = 1 forces |x| = 1 at both complex places, so the unit box
-    # (padded inside _cell_scan) holds every such x; the tests are exact
-    found = _cell_scan(order, _STD_ROWS, _embedding_rows(order, _STD_ROWS), [0.0, 0.0],
-                       False, 1, 1, 6_000_000)
+    # (padded by _covering_box) holds every such x; the tests are exact
+    box = _covering_box(_STD_ROWS, _embedding_rows(order, _STD_ROWS), [0.0, 0.0], False)
+    found = _cell_scan(order, box, 1, 1, 6_000_000)
     # _cell_scan keeps one of each +-x, and x -> -x has no fixed point on O^1
     return 2 * sum(1 for x in found if order.rel_norm(x) == 1)
 
@@ -578,10 +551,10 @@ def enumerate_mod_units(order, basis_rows, norm_min: int, norm_max, units,
     starts from one block of all cells. A block of more than one cell whose
     box holds more than min(_BLOCK_POINTS, budget) points is halved along
     its widest index axis; any other block is scanned exhaustively with
-    exact norm checks. A single cell is never split, so budget keeps its
-    meaning: Inconclusive is raised exactly when some cell that the split
-    reaches has a box of more than budget points, and _BLOCK_POINTS = 0
-    scans every cell on its own.
+    exact norm checks, in the box computed for that split test. A single
+    cell is never split, so budget keeps its meaning: Inconclusive is raised
+    exactly when some cell that the split reaches has a box of more than
+    budget points, and _BLOCK_POINTS = 0 scans every cell on its own.
     """
     if norm_max < norm_min:
         return []
@@ -605,15 +578,14 @@ def enumerate_mod_units(order, basis_rows, norm_min: int, norm_max, units,
                   for j, b in enumerate(base)]
         spans = [hi - lo for lo, hi in block]
         i = spans.index(max(spans))
-        if spans[i] > 1 and (_covering_box(basis_rows, emb_rows, uppers, is_he)[4]
-                             > min(_BLOCK_POINTS, budget)):
+        box = _covering_box(basis_rows, emb_rows, uppers, is_he)
+        if spans[i] > 1 and box[4] > min(_BLOCK_POINTS, budget):
             lo, hi = block[i]
             mid = (lo + hi) // 2
             blocks += [block[:i] + [(mid, hi)] + block[i + 1:],
                        block[:i] + [(lo, mid)] + block[i + 1:]]
             continue
-        for x in _cell_scan(order, basis_rows, emb_rows, uppers, is_he,
-                            norm_min, norm_max, budget):
+        for x in _cell_scan(order, box, norm_min, norm_max, budget):
             if x in seen:
                 continue
             seen.add(x)
@@ -646,13 +618,13 @@ def _covering_box(basis_rows, emb_rows, uppers, is_he):
     return red_rows, S, scale, ks, math.prod(2 * k + 1 for k in ks)
 
 
-def _cell_scan(order, basis_rows, emb_rows, uppers, is_he, nmin, nmax, budget):
-    """Exact lattice points x in the padded embedding box of the log upper
-    bounds (see _covering_box) with nmin <= |N(x)| <= nmax, one of each pair
-    +-x: the one whose first nonzero xi-coordinate is positive. The choice is
-    made on the xi-coordinates, not on the reduced ones, so the set returned
-    does not depend on the LLL basis."""
-    red_rows, S, scale, ks, total = _covering_box(basis_rows, emb_rows, uppers, is_he)
+def _cell_scan(order, box, nmin, nmax, budget):
+    """Exact lattice points x in the padded embedding box of a _covering_box
+    result with nmin <= |N(x)| <= nmax, one of each pair +-x: the one whose
+    first nonzero xi-coordinate is positive. The choice is made on the
+    xi-coordinates, not on the reduced ones, so the set returned does not
+    depend on the LLL basis."""
+    red_rows, S, scale, ks, total = box
     if total > budget:
         raise Inconclusive(f"enumeration box too large ({total} points)")
     axes = [np.arange(-k, k + 1, dtype=np.int64) for k in ks]
@@ -662,7 +634,7 @@ def _cell_scan(order, basis_rows, emb_rows, uppers, is_he, nmin, nmax, budget):
     inside = np.all(np.abs(emb) <= 1.0 + 1e-9, axis=1)
     emb_true = emb[inside] / scale  # unscale
     grid = grid[inside]
-    if is_he:
+    if order.signature == HYPERBOLIC_ELLIPTIC:
         nrm = np.abs(emb_true[:, 0] * emb_true[:, 1]) * (emb_true[:, 2] ** 2 + emb_true[:, 3] ** 2)
     else:
         nrm = (emb_true[:, 0] ** 2 + emb_true[:, 1] ** 2) * (emb_true[:, 2] ** 2 + emb_true[:, 3] ** 2)

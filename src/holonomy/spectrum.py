@@ -139,42 +139,21 @@ def canonical_trace_sign(t: FieldElement) -> FieldElement:
 
 
 def enumerate_traces(field: BaseField, x: float) -> list[FieldElement]:
-    """All hyperbolic-elliptic traces with length <= x, up to sign.
-
-    Scans the O(R) strip |iota_1| < 2 of BaseField.trace_strip, with
-    R = 2 cosh(x/2) >= |iota_0|; all inequality decisions exact, the length
-    cutoff at 96-bit precision. Ordered by iota_0 then lexicographically.
+    """All hyperbolic-elliptic traces with length <= x, up to sign, ordered
+    by (iota_0, a, b): the part of BaseField.trace_strip(2 cosh(x/2)) with
+    iota_0 > 2 (an exact sign) and length <= x at 96-bit precision.
     """
     if x <= 0:
         raise ValueError("cutoff must be positive")
-    out = []
-    seen = set()
-    for t in field.trace_strip(2 * math.cosh(x / 2)):
-        t = canonical_trace_sign(t)
-        key = (t.a, t.b)
-        if key in seen or not is_hyperbolic_elliptic_trace(field, t):
-            continue
-        seen.add(key)
-        if trace_length(field, t) <= x + 1e-12:
-            out.append(t)
-    out.sort(key=lambda z: (z.approx(0), z.a, z.b))
-    return out
+    return [t for t in field.trace_strip(2 * math.cosh(x / 2))
+            if (t - 2).sign(0) > 0 and trace_length(field, t) <= x + 1e-12]
 
 
 def enumerate_elliptic_traces(field: BaseField) -> list[FieldElement]:
-    """All elliptic traces (every embedding inside (-2,2)), up to sign:
-    the part of BaseField.trace_strip(2) that passes the exact test."""
-    out = []
-    seen = set()
-    for t in field.trace_strip(2):
-        t = canonical_trace_sign(t)
-        key = (t.a, t.b)
-        if key in seen or not is_elliptic_trace(field, t):
-            continue
-        seen.add(key)
-        out.append(t)
-    out.sort(key=lambda z: (z.approx(0), abs(z.a), abs(z.b), z.a, z.b))
-    return out
+    """All elliptic traces (every embedding inside (-2,2)), up to sign,
+    ordered by (iota_0, a, b): the part of BaseField.trace_strip(2) with
+    iota_0 < 2 (an exact sign)."""
+    return [t for t in field.trace_strip(2) if (t - 2).sign(0) < 0]
 
 
 def primitive_decomposition(order: RelativeQuadraticOrder, arith, t: FieldElement):

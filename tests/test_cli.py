@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,10 @@ class TestConfig:
         p.write_text("precision_bits = 128\nseed = 7\n# comment\n\nstrict = true\n")
         cfg = config_from_sources(str(p), output_format="json")
         assert cfg.seed == 7 and cfg.strict and cfg.output_format == "json"
+        for text, strict in [("1", True), ("YES", True), ("True", True),
+                             ("0", False), ("no", False), ("FALSE", False)]:
+            p.write_text(f"strict = {text}\n")
+            assert config_from_sources(str(p)) == RunConfig(strict=strict)
 
 
 class TestCliFlows:
@@ -44,7 +49,7 @@ class TestCliFlows:
     def test_enumerate_and_stats_roundtrip(self, tmp_path, capsys):
         csv_path = str(tmp_path / "x3.csv")
         assert run_cli(["enumerate", "--m", "2", "--x", "3", "--out", csv_path]) == 0
-        text = open(csv_path).read()
+        text = Path(csv_path).read_text()
         assert text.startswith("# m=2 x=3")
         lines = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(lines) == 1 + 4  # header + four trace rows
@@ -58,7 +63,7 @@ class TestCliFlows:
         p2 = str(tmp_path / "b.csv")
         run_cli(["enumerate", "--m", "2", "--x", "3", "--out", p1])
         run_cli(["enumerate", "--m", "2", "--x", "3", "--out", p2])
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_cache_does_not_change_output(self, tmp_path):
         p1 = str(tmp_path / "a.csv")
@@ -67,7 +72,7 @@ class TestCliFlows:
         run_cli(["--cache", cache, "enumerate", "--m", "2", "--x", "3", "--out", p1])
         assert os.path.exists(cache)
         run_cli(["--cache", cache, "enumerate", "--m", "2", "--x", "3", "--out", p2])
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_check_narrow(self, capsys):
         assert run_cli(["check", "narrow", "--m", "3"]) == 0
@@ -155,8 +160,7 @@ class TestCliFlows:
         ]
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
         short_row = tmp_path / "short_row.csv"
-        with open(table) as fh:
-            head = fh.read().splitlines()[:2]
+        head = Path(table).read_text().splitlines()[:2]
         short_row.write_text("\n".join(head + ["1,0,3"]) + "\n")
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -165,6 +169,19 @@ class TestCliFlows:
             (["stats", "pgt", "--in", str(short_row), "--grid", "4"], "data row 1 has 3 fields"),
             (["stats", "pgt", "--in", str(empty), "--grid", "4"], "no header line"),
         ]
+        # a bad config file names the file, the line and the key
+        bad_configs = [
+            ("foo=1\n", "line 1: key 'foo': unknown key"),
+            ("seed = 3\nnoequals\n", "line 2: expected key=value"),
+            ("seed = three\n", "line 1: key 'seed': invalid literal"),
+            ("ideal_bound_scale = big\n", "line 1: key 'ideal_bound_scale': could not convert"),
+            ("strict = maybe\n", "line 1: key 'strict': expected one of 1/true/yes/0/false/no"),
+            ("# formats\noutput_format = xml\n", "line 2: key 'output_format': expected one of csv/json/text"),
+        ]
+        for i, (text, why) in enumerate(bad_configs):
+            bad = tmp_path / f"bad{i}.cfg"
+            bad.write_text(text)
+            cases.append((["--config", str(bad), "field", "info", "--m", "2"], f"{bad} {why}"))
         for argv, why in cases:
             assert run_cli(argv) == 2, argv
             err = capsys.readouterr().err
@@ -173,7 +190,7 @@ class TestCliFlows:
     def test_empty_table_csv_header_only(self, tmp_path):
         p = str(tmp_path / "empty.csv")
         assert run_cli(["enumerate", "--m", "2", "--x", "0.5", "--out", p]) == 0
-        lines = open(p).read().splitlines()
+        lines = Path(p).read_text().splitlines()
         assert len(lines) == 2  # comment + header, no data rows
         assert lines[1].startswith("t_a,t_b,")
 

@@ -397,6 +397,37 @@ class TestIntegerPairs:
         assert k_module_rows(K, [x, y]) == [list(x), [xw.a, xw.b], list(y), [yw.a, yw.b]]
 
 
+def box_trace_strip(K, R):
+    """Canonical x (iota_0 >= 0) with |iota_1(x)| < 2 and iota_0(x) <= R by a
+    coordinate-box scan, sorted by (iota_0, a, b): the oracle of trace_strip."""
+    w0, w1 = K.w().approx(0), K.w().approx(1)
+    amax = int((R + 2) / 2 + 2)
+    bmax = int((R + 2) / abs(w0 - w1) + 2)
+    out = {}
+    for b in range(-bmax, bmax + 1):
+        for a in range(-amax, amax + 1):
+            x = K.elt(a, b)
+            if x.sign(0) < 0:
+                x = -x
+            if x.approx(0) <= R and (x - 2).sign(1) < 0 and (x + 2).sign(1) > 0:
+                out[x.a, x.b] = x
+    return sorted(out.values(), key=lambda z: (z.approx(0), z.a, z.b))
+
+
+class TestTraceStrip:
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.sampled_from([2, 3, 5, 13, 17]), R=st.floats(0.5, 300))
+    def test_sorted_canonical_and_matches_box(self, m, R):
+        K = make_field(m)
+        strip = K.trace_strip(R)
+        assert strip == sorted(strip, key=lambda z: (z.approx(0), z.a, z.b))
+        assert all(x.sign(0) >= 0 and (x - 2).sign(1) < 0 and (x + 2).sign(1) > 0 for x in strip)
+        coords = {(x.a, x.b) for x in strip}
+        assert len(coords) == len(strip) and (0, 0) in coords
+        assert not any((-a, -b) in coords for a, b in coords if (a, b) != (0, 0))
+        assert [x for x in strip if x.approx(0) <= R] == box_trace_strip(K, R)
+
+
 class TestPrimeElements:
     def test_repeated_calls_return_equal_independent_lists(self):
         K = make_field(2)

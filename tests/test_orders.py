@@ -58,7 +58,6 @@ from holonomy.orders import (
     primitive_proper_ideals,
     relative_fundamental_unit,
     sqrt_in_K,
-    torsion_units,
     unit_norm_index,
 )
 from holonomy.intlinalg import hnf, hnf_key, in_lattice, pivot_product
@@ -391,22 +390,37 @@ def record_cold_x5(d, patches):
                          "--out", str(d / "x5.csv")]) == 0
 
 
+def recording_scans(cells):
+    """Patches of holonomy.orders that append to cells, for every _cell_scan
+    call, its arguments with the box replaced by the _covering_box arguments
+    that made it, and its sorted result."""
+    covering_box, scan = holonomy.orders._covering_box, holonomy.orders._cell_scan
+    made = {}
+
+    def recording_box(*args):
+        box = covering_box(*args)
+        made[id(box)] = (box, args)  # the box stays alive, so its id stays unique
+        return box
+
+    def recording_scan(order, box, *rest):
+        out = scan(order, box, *rest)
+        cells.append(((order, made[id(box)][1], *rest), sorted(out)))
+        return out
+
+    return {"_covering_box": recording_box, "_cell_scan": recording_scan}
+
+
 @pytest.fixture(scope="module")
 def cold_x5(tmp_path_factory):
     """A cold x=5 build on single unit cells (_BLOCK_POINTS = 0, the tiling
-    that the blocks replaced), recording every _cell_scan call with its
-    sorted result, every class_number call with its arguments and result,
+    that the blocks replaced), recording every _cell_scan call (see
+    recording_scans), every class_number call with its arguments and result,
     the arguments of every _k_content_and_primitive call, and every
     _generator_keys and unit_norm_index call with its arguments and result."""
     cells, orders, contents, searches, norm_indices = [], [], [], [], []
-    scan, count = holonomy.orders._cell_scan, holonomy.orders.class_number
+    count = holonomy.orders.class_number
     content = holonomy.orders._k_content_and_primitive
     keys, index = holonomy.orders._generator_keys, holonomy.orders.unit_norm_index
-
-    def recording_scan(*args):
-        out = scan(*args)
-        cells.append((args, sorted(out)))
-        return out
 
     def recording_count(*args):
         res = count(*args)
@@ -428,7 +442,7 @@ def cold_x5(tmp_path_factory):
         return out
 
     record_cold_x5(tmp_path_factory.mktemp("cold_x5"), {
-        "_BLOCK_POINTS": 0, "_cell_scan": recording_scan, "class_number": recording_count,
+        "_BLOCK_POINTS": 0, **recording_scans(cells), "class_number": recording_count,
         "_k_content_and_primitive": recording_content, "_generator_keys": recording_keys,
         "unit_norm_index": recording_index})
     return cells, orders, contents, searches, norm_indices
@@ -436,17 +450,10 @@ def cold_x5(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cold_x5_blocks(tmp_path_factory):
-    """Every _cell_scan call of a cold x=5 build on the default blocks, with
-    its sorted result."""
+    """Every _cell_scan call of a cold x=5 build on the default blocks, as
+    recording_scans records it."""
     cells = []
-    scan = holonomy.orders._cell_scan
-
-    def recording_scan(*args):
-        out = scan(*args)
-        cells.append((args, sorted(out)))
-        return out
-
-    record_cold_x5(tmp_path_factory.mktemp("cold_x5_blocks"), {"_cell_scan": recording_scan})
+    record_cold_x5(tmp_path_factory.mktemp("cold_x5_blocks"), recording_scans(cells))
     return cells
 
 
@@ -470,8 +477,9 @@ def largest_box(run):
 
 
 def scans_agree_with_gso_lll(cells, monkeypatch):
-    """Replay recorded _cell_scan calls with the GSO LLL; each must return the
-    recorded set. Returns the share of calls whose reduced bases agree."""
+    """Replay recorded _cell_scan calls, each on a box recomputed with the GSO
+    LLL; each must return the recorded set. Returns the share of calls whose
+    reduced bases agree."""
     incremental = holonomy.orders._lll_rows_metric
     agree = []
 
@@ -481,8 +489,9 @@ def scans_agree_with_gso_lll(cells, monkeypatch):
         return out
 
     monkeypatch.setattr(holonomy.orders, "_lll_rows_metric", gso_lll)
-    for args, got in cells:
-        assert sorted(holonomy.orders._cell_scan(*args)) == got
+    for (order, box_args, *rest), got in cells:
+        box = holonomy.orders._covering_box(*box_args)
+        assert sorted(holonomy.orders._cell_scan(order, box, *rest)) == got
     return sum(agree) / len(agree)
 
 
@@ -680,7 +689,7 @@ class TestBuildOrder:
         D2 = D * eps * eps
         d2 = square_divisor_splits(D2)[0][0]
         O2 = build_order(K2, D2, d2)
-        assert O1.Dred == O2.Dred and O1.z_basis == O2.z_basis
+        assert O1.Dred == O2.Dred and O1._rows2 == O2._rows2
         D3 = D * 4
         match = [dd for dd, ff in square_divisor_splits(D3) if ff.norm == 4]
         O3 = build_order(K2, D3, match[0])
@@ -753,7 +762,7 @@ class TestUnits:
             if O.realizable:
                 sizes[d_id.norm] = norm_one_group_size(O)
         assert sizes == {16: 4, 4: 8}
-        assert torsion_units(order_for_trace(K2, K2.elt(1, 0))) == 6
+        assert norm_one_group_size(order_for_trace(K2, K2.elt(1, 0))) == 6
         golden = order_for_trace(K5, K5.w())
         assert norm_one_group_size(golden) == 10
 
