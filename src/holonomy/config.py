@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 
@@ -40,7 +41,10 @@ def _typed_value(key: str, v: str):
     if key in _INT_KEYS:
         return int(v)
     if key in _FLOAT_KEYS:
-        return float(v)
+        x = float(v)
+        if not math.isfinite(x):
+            raise ValueError(f"expected a finite number, got {v!r}")
+        return x
     if key == "strict":
         if v.lower() not in _BOOLS:
             raise ValueError(f"expected one of 1/true/yes/0/false/no, got {v!r}")

@@ -474,9 +474,9 @@ class BaseField:
     def elements_of_norm(self, n: int, lattice_rows=None):
         """Canonical associates (sorted by iota_0, a, b) of all x with |N(x)| = n
         in the ideal spanned by lattice_rows over (1, w) (default O_K): the
-        norm window of _norm_window with lo = hi = n, two isqrt per Y. A
-        lattice that is not an O_K-ideal raises ValueError: membership must
-        not depend on the associate.
+        norm window of _norm_window with lo = hi = n. A lattice that is not
+        an O_K-ideal raises ValueError: membership must not depend on the
+        associate.
         """
         if n <= 0:
             raise ValueError("n must be positive")
@@ -516,7 +516,7 @@ class BaseField:
         has 0 < iota_0 < sqrt|N|*eps and |iota_1| <= sqrt|N|, so X >= 0 and
         0 <= Y = c*(iota_0 - iota_1)/(2*sqrt(m)) <= Ymax, bounded exactly via
         the rational enclosure of eps. For each Y the X of either sign of
-        N(x) form a range bounded by isqrt, one isqrt per range when lo = hi.
+        N(x) form a range bounded by isqrt.
         """
         cc = 4 if self._half_basis else 1
         windows = ((cc * lo, cc * hi), (-cc * hi, -cc * lo))
@@ -526,14 +526,8 @@ class BaseField:
                 A, B = mY2 + dlo, mY2 + dhi  # the X >= 0 with A <= X^2 <= B
                 if B < 0:
                     continue
-                X1 = math.isqrt(B)
-                if lo == hi:
-                    if X1 * X1 != B:
-                        continue
-                    X0 = X1
-                else:
-                    X0 = math.isqrt(A - 1) + 1 if A > 0 else 0
-                for X in range(X0, X1 + 1):
+                X0 = math.isqrt(A - 1) + 1 if A > 0 else 0
+                for X in range(X0, math.isqrt(B) + 1):
                     if (cc == 4 and (X - Y) % 2) or not self._is_canonical_xy(X, Y):
                         continue
                     yield abs(X * X - mY2) // cc, self._from_xy(X, Y)
@@ -574,17 +568,14 @@ class BaseField:
         holds every such x with iota_0(x) <= R, as b*(iota_0(w) - iota_1(w))
         = iota_0(x) - iota_1(x): O(R) elements. Callers cut the iota_0 range.
         """
-        m, w1 = self.m, self.w().approx(1)
+        w1 = self.w().approx(1)
         bmax = int((R + 2) / abs(self.w().approx(0) - w1)) + 2
-        c = 2 if self._half_basis else 1
         out = []
         for b in range(-bmax, bmax + 1):
             for a in range(math.floor(-2 - b * w1) - 1, math.ceil(2 - b * w1) + 2):
-                X, Y = (2 * a + b, b) if self._half_basis else (a, b)
-                # exact: iota_0 >= 0, then -2 < iota_1 = (X - Y*sqrt(m))/c < 2
-                if (sign_p_q_sqrt(X, Y, m) >= 0 and sign_p_q_sqrt(X - 2 * c, -Y, m) < 0
-                        and sign_p_q_sqrt(X + 2 * c, -Y, m) > 0):
-                    out.append(FieldElement(self, a, b))
+                x = FieldElement(self, a, b)
+                if x.sign(0) >= 0 and (x - 2).sign(1) < 0 and (x + 2).sign(1) > 0:
+                    out.append(x)
         out.sort(key=lambda z: (z.approx(0), z.a, z.b))
         return out
 

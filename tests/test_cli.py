@@ -175,6 +175,8 @@ class TestCliFlows:
             ("seed = 3\nnoequals\n", "line 2: expected key=value"),
             ("seed = three\n", "line 1: key 'seed': invalid literal"),
             ("ideal_bound_scale = big\n", "line 1: key 'ideal_bound_scale': could not convert"),
+            ("ideal_bound_scale = inf\n", "line 1: key 'ideal_bound_scale': expected a finite number"),
+            ("seed = 1\nunit_search_height = nan\n", "line 2: key 'unit_search_height': expected a finite number"),
             ("strict = maybe\n", "line 1: key 'strict': expected one of 1/true/yes/0/false/no"),
             ("# formats\noutput_format = xml\n", "line 2: key 'output_format': expected one of csv/json/text"),
         ]
