@@ -380,6 +380,9 @@ class BaseField:
         self.eps = self._fundamental_unit()
         self.eps_norm = self.eps.norm()
         self._eps_xy = self._xy(self.eps)
+        # _ymax's factor c^2 * (hi + 1)^2 / (4m), hi the upper enclosure of iota_0(eps)
+        scale = (4 if self._half_basis else 1) * (self.eps.embed(0)[1] + 1) ** 2 / (4 * m)
+        self._ymax_scale = (scale.numerator, scale.denominator)
         assert abs(self.eps_norm) == 1
         assert self.eps.sign(0) > 0 and self.eps.cmp(1, 0) > 0
         self.h_K = self._class_number()
@@ -535,8 +538,8 @@ class BaseField:
     def _ymax(self, n: int) -> int:
         """Bound on Y = c*(iota_0 - iota_1)/(2*sqrt(m)) over canonical x with
         |N(x)| <= n, from the rational upper enclosure of iota_0(eps)."""
-        cc = 4 if self._half_basis else 1
-        return math.isqrt(math.floor(cc * n * (self.eps.embed(0)[1] + 1) ** 2 / (4 * self.m)))
+        num, den = self._ymax_scale
+        return math.isqrt(n * num // den)
 
     def _xy(self, x: FieldElement):
         """Integers (X, Y) with x = (X + Y*sqrt(m))/c, for integral x."""

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dfield
+from functools import cache, cached_property
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -360,45 +362,50 @@ class TestFunctionSpec:
         vals = np.exp(-1 / (1 - nodes ** 2))
         return s * ((weights * vals) @ np.cos(np.outer(nodes * s, r)))
 
-    def htilde0(self, theta: float, tol: float = 1e-11) -> complex:
+    @cached_property
+    def _elliptic_nodes(self) -> list:
+        """(w, hhat(u), e^{-u/2}, e^u, cosh u) at the 800 Gauss-Legendre
+        nodes u over [-support, support] where hhat(u) != 0: every factor of
+        htilde0 that does not depend on theta."""
+        s = self.support
+        nodes, weights = _gl_nodes(800)
+        out = []
+        for ui, wi in zip((s * nodes).tolist(), (s * weights).tolist()):
+            hv = self.hhat(ui)
+            if hv != 0.0:
+                out.append((wi, hv, math.exp(-ui / 2), math.exp(ui), math.cosh(ui)))
+        return out
+
+    def htilde0(self, theta: float) -> complex:
         """Elliptic-term transform at weight zero (quadrature over supp hhat).
 
         (i/4) int hhat(u) e^{-(u + i theta)/2} (e^u - e^{i theta}) /
                 (cosh u - cos theta) du
         """
-        s = self.support
-        nodes, weights = _gl_nodes(800)
-        u = s * nodes
-        w = s * weights
-        out = 0j
         cth = math.cos(theta)
         eith = complex(math.cos(theta), math.sin(theta))
-        for ui, wi in zip(u, w):
-            hv = self.hhat(ui)
-            if hv == 0.0:
-                continue
-            denom = math.cosh(ui) - cth
-            val = hv * _exp_c(-(ui + 1j * theta) / 2) * (math.exp(ui) - eith) / denom
-            out += wi * val
+        c2, s2 = math.cos(-theta / 2), math.sin(-theta / 2)
+        out = 0j
+        for wi, hv, em, ep, ch in self._elliptic_nodes:
+            out += wi * (hv * complex(em * c2, em * s2) * (ep - eith) / (ch - cth))
         return 0.25j * out
 
     def label(self) -> str:
         return f"{self.family}({','.join(_fmt(p) for p in self.params)})"
 
 
-def _exp_c(z: complex) -> complex:
-    m = math.exp(z.real)
-    return complex(m * math.cos(z.imag), m * math.sin(z.imag))
+_GL_TABLE = Path(__file__).with_name("gauss_legendre.npz")
 
 
-_GL_CACHE: dict = {}
-
-
+@cache
 def _gl_nodes(n: int):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
+    """Gauss-Legendre rule (nodes, weights) of n points on [-1, 1], equal bit
+    for bit to numpy's leggauss(n): the mirrored nonnegative half tabulated
+    in gauss_legendre.npz (scripts/gauss_legendre_table.py writes it). An n
+    not in the table raises KeyError."""
+    with np.load(_GL_TABLE) as table:
+        x, w = table[f"x{n}"], table[f"w{n}"]
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 _BUMP_NORM = None

@@ -291,6 +291,14 @@ class TestElementsOfNorm:
         assert hnf(shuffled) == [list(r) for r in rows]
         assert K.elements_of_norm(11, shuffled) == K.elements_of_norm(11, rows)
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    def test_ymax_matches_per_call_enclosure(self, m):
+        # the bound as computed before its rational factor was fixed per field
+        K = make_field(m)
+        cc = 4 if K._half_basis else 1
+        for n in range(5001):
+            assert K._ymax(n) == math.isqrt(math.floor(cc * n * (K.eps.embed(0)[1] + 1) ** 2 / (4 * m)))
+
 
 def fraction_canonical_associate(K, x):
     """The Fraction-based canonical associate that the integer steps replaced."""
