@@ -285,12 +285,12 @@ def _dispatch(args, cfg: RunConfig) -> int:
         return 0
 
     if args.cmd == "stats" and args.sub == "units":
-        if not args.T > 0:
-            raise ValueError(f"--T must be positive, got {args.T}")
+        if not 0 < args.T < math.inf:
+            raise ValueError(f"--T must be positive and finite, got {args.T}")
         K = make_field(args.m)
         x = 2 * math.log(args.T)
         table = length_spectrum(K, max(x, 1.0), _spec_for(K), cache, with_elliptic=False)
-        f = TrigFunction.from_char(args.fm) if args.fm else TrigFunction.constant(1)
+        f = TrigFunction.from_char(args.fm) if args.fm is not None else TrigFunction.constant(1)
         rep = units_report(table, args.T, f)
         emit_report(rep, cfg, args.out)
         return 0
@@ -345,7 +345,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
             "reg": f"{arith.reg:.12g}",
             "torsion": arith.torsion,
             "certified": arith.certified,
-            "oracle_bounds": list(arith.bounds),
+            "oracle_bounds": list(arith.oracle_bounds),
             "config_digest": cfg.digest(),
         }
         _write(json.dumps(rec, sort_keys=True, indent=1) + "\n", None)

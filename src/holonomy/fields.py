@@ -193,9 +193,6 @@ class FieldElement:
         # N(a + bw) = a^2 + ab*tr(w) - b^2 * (w*conj(w)) ; w*wbar = -c0 when tr=c1
         return _coord(self.a * self.a + self.a * self.b * c1 - self.b * self.b * c0)
 
-    def trace(self):
-        return _coord(2 * self.a + self.b * self.field._trace_w)
-
     def sqrt_coords(self):
         """(p, q) with self = p + q*sqrt(m), exact."""
         if self.field._half_basis:
@@ -208,10 +205,6 @@ class FieldElement:
         if self.field._half_basis:
             a = 2 * a + b
         return sign_p_q_sqrt(a, b if place == 0 else -b, self.field.m)
-
-    def cmp(self, other, place: int) -> int:
-        """Exact comparison of embeddings: sign of iota(self - other)."""
-        return (self - self._coerce(other)).sign(place)
 
     def embed(self, place: int, prec: int = 64):
         """Rigorous enclosure (lo, hi) of iota_place(self), width <= 2^(1-prec)."""
@@ -340,9 +333,6 @@ class IdealK:
             return False
         return in_lattice([x.a, x.b], [list(r) for r in self.rows])
 
-    def key(self):
-        return (self.m, self.rows)
-
     def __str__(self):
         return str([list(r) for r in self.rows])
 
@@ -384,7 +374,7 @@ class BaseField:
         scale = (4 if self._half_basis else 1) * (self.eps.embed(0)[1] + 1) ** 2 / (4 * m)
         self._ymax_scale = (scale.numerator, scale.denominator)
         assert abs(self.eps_norm) == 1
-        assert self.eps.sign(0) > 0 and self.eps.cmp(1, 0) > 0
+        assert (self.eps - 1).sign(0) > 0
         self.h_K = self._class_number()
 
     # -- element constructors -------------------------------------------------

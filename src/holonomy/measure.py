@@ -132,9 +132,6 @@ class TrigFunction:
     n: int
     coeffs: dict = field(default_factory=dict)
 
-    def copy(self) -> "TrigFunction":
-        return TrigFunction(self.n, dict(self.coeffs))
-
     @staticmethod
     def constant(n: int, value=1.0) -> "TrigFunction":
         return TrigFunction(n, {(0,) * n: complex(value)})

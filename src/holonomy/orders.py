@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -175,22 +175,20 @@ def _parity_basis(K: BaseField, dred4: tuple):
 class LatticeSpec:
     """Arithmetic lattice data: finite ramification set and r_A = #Ram_inf.
 
-    ram_f entries are prime ideals of O_K (IdealK). vol is the user-supplied
-    covolume for trace-formula evaluation, not derived here.
+    ram_f entries are prime ideals of O_K (IdealK).
     """
 
     field_m: int
     ram_f: tuple = ()
     r_A: int = 0
-    vol: float | None = None
 
     def __post_init__(self):
         if (len(self.ram_f) + self.r_A) % 2 != 0:
             raise ValueError("ramification set must have even size (finite + infinite)")
 
     @staticmethod
-    def hilbert(field: BaseField, vol: float | None = None) -> "LatticeSpec":
-        return LatticeSpec(field.m, (), 0, vol)
+    def hilbert(field: BaseField) -> "LatticeSpec":
+        return LatticeSpec(field.m, (), 0)
 
 
 class RelativeQuadraticOrder:
@@ -264,25 +262,25 @@ class RelativeQuadraticOrder:
         self.realized_disc = ideal_of_element(K.elt(*disc))
         self.realizable = self.realized_disc.rows == self.d_ideal.rows
 
-    # -- element helpers (u + v xi with u, v in O_K as int pairs) ------------
+    # -- element helpers: u + v xi, u and v in O_K, as the integer 4-tuple
+    # (u_a, u_b, v_a, v_b) over the Z-basis (1, w, xi, w xi) -- the
+    # coordinates of a lattice row and of the cached eps_rel
     def mul(self, x, y):
-        """Multiply order elements given as ((u_a,u_b),(v_a,v_b)) int pairs."""
+        """x * y for order elements."""
         K = self.field
-        u1, v1 = x
-        u2, v2 = y
+        u1, v1, u2, v2 = x[:2], x[2:], y[:2], y[2:]
         vv = kmul(K, v1, v2)
         u = _kadd(kmul(K, u1, u2), kmul(K, vv, self.q_coef))
         v = _kadd(_kadd(kmul(K, u1, v2), kmul(K, u2, v1)), kmul(K, vv, self.p_coef))
-        return (u, v)
+        return u + v
 
     def rel_conj(self, x):
-        u, v = x
-        return (_kadd(u, kmul(self.field, v, self.p_coef)), (-v[0], -v[1]))
+        return _kadd(x[:2], kmul(self.field, x[2:], self.p_coef)) + (-x[2], -x[3])
 
     def _rel_norm_pair(self, x):
         """u^2 + p*u*v - q*v^2 = u*(u + p*v) - q*v^2, as an integer pair."""
         K = self.field
-        u, v = x
+        u, v = x[:2], x[2:]
         a, b = kmul(K, u, _kadd(u, kmul(K, self.p_coef, v)))
         c, d = kmul(K, self.q_coef, kmul(K, v, v))
         return (a - c, b - d)
@@ -295,11 +293,11 @@ class RelativeQuadraticOrder:
         return knorm(self.field, self._rel_norm_pair(x))
 
     def rel_trace(self, x) -> FieldElement:
-        u, v = x
-        return self.field.elt(*_kadd(u, _kadd(u, kmul(self.field, self.p_coef, v))))
+        u = x[:2]
+        return self.field.elt(*_kadd(u, _kadd(u, kmul(self.field, self.p_coef, x[2:]))))
 
     def one(self):
-        return ((1, 0), (0, 0))
+        return (1, 0, 0, 0)
 
     def from_sqrt_form(self, a: FieldElement, b: FieldElement):
         """Element (a + b sqrt(Dred))/2 in xi coordinates, or None if not in O."""
@@ -308,24 +306,22 @@ class RelativeQuadraticOrder:
         u = (a - v * self.xi_a) / 2
         if not (u.is_integral() and v.is_integral()):
             return None
-        return ((u.a, u.b), (v.a, v.b))
+        return (u.a, u.b, v.a, v.b)
 
     def to_sqrt_form(self, x):
         """(a, b) field elements with x = (a + b sqrt(Dred))/2."""
         K = self.field
-        u, v = x
-        vv = K.elt(*v)
+        vv = K.elt(*x[2:])
         b = vv * self.xi_b
-        a = 2 * K.elt(*u) + vv * self.xi_a
+        a = 2 * K.elt(*x[:2]) + vv * self.xi_a
         return a, b
 
     def disc_z(self) -> int:
         g = self.realized_disc
         return self.field.disc ** 2 * g.norm
 
-    def embeddings(self, x, prec_bits: int = 64):
+    def embeddings(self, x):
         """Complex embeddings of x at the two extensions of each place."""
-        K = self.field
         a, b = self.to_sqrt_form(x)
         out = []
         for place in (0, 1):
@@ -418,7 +414,7 @@ def norm_one_group_size(order: RelativeQuadraticOrder) -> int:
         raise ValueError("finite norm-one group needs totally-elliptic signature")
     # rel_norm(x) = 1 forces |x| = 1 at both complex places, so the unit box
     # (padded by _covering_box) holds every such x; the tests are exact
-    box = _covering_box(_STD_ROWS, _embedding_rows(order, _STD_ROWS), [0.0, 0.0], False)
+    box = _covering_box(_STD_ROWS, [_flat_embedding(order, r) for r in _STD_ROWS], [0.0, 0.0], False)
     found = _cell_scan(order, box, 1, 1, 6_000_000)
     # _cell_scan keeps one of each +-x, and x -> -x has no fixed point on O^1
     return 2 * sum(1 for x in found if order.rel_norm(x) == 1)
@@ -433,11 +429,6 @@ def _flat_embedding(order, x):
         else:
             out.extend([e.real, e.imag])
     return out
-
-
-def _embedding_rows(order, rows):
-    """_flat_embedding of each integer row over the basis (1, w, xi, w xi)."""
-    return [_flat_embedding(order, ((r[0], r[1]), (r[2], r[3]))) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +551,7 @@ def enumerate_mod_units(order, basis_rows, norm_min: int, norm_max, units,
         return []
     if norm_min < 1:
         raise ValueError("integral lattices only: norm_min >= 1")
-    emb_rows = _embedding_rows(order, basis_rows)
+    emb_rows = [_flat_embedding(order, r) for r in basis_rows]
     unit_logs = [_log_vector(order, u) for u in units]
     is_he = order.signature == HYPERBOLIC_ELLIPTIC
     base = _balanced_logs(math.log(float(norm_max)) + 1e-9, is_he)
@@ -589,7 +580,7 @@ def enumerate_mod_units(order, basis_rows, norm_min: int, norm_max, units,
             if x in seen:
                 continue
             seen.add(x)
-            results.append((None, x))
+            results.append(x)
     return results
 
 
@@ -643,7 +634,7 @@ def _cell_scan(order, box, nmin, nmax, budget):
     for row in grid[mask]:
         x = _coords_to_elt(row.tolist(), red_rows)
         # first nonzero xi-coordinate positive; this also drops x = 0
-        if next((c for c in x[0] + x[1] if c), 0) <= 0:
+        if next((c for c in x if c), 0) <= 0:
             continue
         exact = abs(order.abs_norm_int(x))
         if nmin <= exact <= nmax:
@@ -657,7 +648,7 @@ def _coords_to_elt(coords, basis_rows):
         if c:
             for i in range(4):
                 acc[i] += c * row[i]
-    return ((acc[0], acc[1]), (acc[2], acc[3]))
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -717,36 +708,16 @@ def _gcd_is_unit_int(K: BaseField, elts) -> bool:
 def _inverse_lattice(order, rows):
     """Lattice of x with x * J subseteq O, as (rows, denom)."""
     n = pivot_product(rows)
-    # multiplication matrices of the 4 generators
+    # the multiplication matrix of each generator g: column j is g * (basis j)
     stacked = []
-    for r in rows:
-        g = ((r[0], r[1]), (r[2], r[3]))
-        M = _mult_matrix(order, g)
-        stacked.extend(M)
-    lat = congruence_lattice(stacked, n)
-    return lat, n
-
-
-def _mult_matrix(order, g):
-    """Integer matrix of y -> g*y on the Z-basis (1, w, xi, w xi)."""
-    basis = [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))]
-    cols = []
-    for b in basis:
-        prod_ = order.mul(g, b)
-        (ua, ub), (va, vb) = prod_
-        cols.append([ua, ub, va, vb])
-    # rows of result: coordinate i of image of basis j -> matrix[i][j]
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
+    for g in rows:
+        stacked.extend(zip(*_scale_rows(order, _STD_ROWS, g)))
+    return congruence_lattice(stacked, n), n
 
 
 def _scale_rows(order, rows, x):
-    """Rows spanning the lattice x * L for x in xi-coords (not in HNF)."""
-    out = []
-    for r in rows:
-        g = ((r[0], r[1]), (r[2], r[3]))
-        (ua, ub), (va, vb) = order.mul(x, g)
-        out.append([ua, ub, va, vb])
-    return out
+    """Rows spanning the lattice x * L (not in HNF); a row is an element."""
+    return [list(order.mul(x, r)) for r in rows]
 
 
 def _k_content_and_primitive(order, rows):
@@ -880,7 +851,7 @@ def _generator_keys(order, units, key, bound: int, budget: int) -> dict:
     rows = [list(r) for r in key]
     inv_rows, denom = _inverse_lattice(order, rows)
     out: dict = {}
-    for _, y in enumerate_mod_units(order, inv_rows, denom ** 3, bound * denom ** 3, units,
+    for y in enumerate_mod_units(order, inv_rows, denom ** 3, bound * denom ** 3, units,
                                     budget=budget):
         _, prim = _k_content_and_primitive(order, _scale_rows(order, rows, y))
         k2 = tuple(tuple(r) for r in prim)
@@ -910,7 +881,7 @@ def unit_norm_index(order: RelativeQuadraticOrder, eps_rel, budget: int = 6_000_
     except Inconclusive:
         return UNKNOWN
     hits = set()
-    for _, x in found:
+    for x in found:
         nr = order.rel_norm(x)
         if not nr.is_unit():
             continue
@@ -1116,7 +1087,7 @@ class OrderArithmetic:
     torsion: int
     unit_index: object
     certified: bool
-    bounds: tuple
+    oracle_bounds: tuple
     reason: str = ""
 
 
@@ -1170,8 +1141,7 @@ class OrderCache:
 
 
 def compute_arithmetic(order: RelativeQuadraticOrder, cache: OrderCache | None = None,
-                       stability_check: bool = True, bound_scale: float = 1.0,
-                       budget: int = 6_000_000,
+                       bound_scale: float = 1.0, budget: int = 6_000_000,
                        unit_height: float = 1e9) -> OrderArithmetic:
     """Class number, regulator, relative unit, torsion, unit index; cached."""
     key = order.cache_key()
@@ -1180,7 +1150,7 @@ def compute_arithmetic(order: RelativeQuadraticOrder, cache: OrderCache | None =
         if rec is not None:
             er = rec["eps_rel"]
             return OrderArithmetic(
-                rec["h_O"], rec["reg"], _coords_from_json(er) if er else None, rec["torsion"],
+                rec["h_O"], rec["reg"], tuple(er) if er else None, rec["torsion"],
                 rec["unit_index"], rec["certified"], tuple(rec["oracle_bounds"]), rec.get("reason", ""),
             )
     if order.signature == HYPERBOLIC_ELLIPTIC:
@@ -1193,7 +1163,7 @@ def compute_arithmetic(order: RelativeQuadraticOrder, cache: OrderCache | None =
     else:
         raise ScopeError("class data is computed only for hyperbolic-elliptic and CM orders")
     try:
-        cn = class_number(order, units, bound_scale, stability_check, budget)
+        cn = class_number(order, units, bound_scale, True, budget)
     except Inconclusive as e:
         cn = ClassNumberResult(0, False, 0, None, str(e))
     ui = unit_norm_index(order, eps_rel, budget)
@@ -1201,31 +1171,11 @@ def compute_arithmetic(order: RelativeQuadraticOrder, cache: OrderCache | None =
     arith = OrderArithmetic(cn.h, reg, eps_rel, torsion, ui, certified,
                             (cn.bound, cn.bound2 or 0), cn.reason)
     if cache is not None:
-        cache.put(key, {
-            "field_m": order.field.m,
-            "D": key[1],
-            "d_hnf": [list(r) for r in order.d_ideal.rows],
-            "h_O": arith.h_O,
-            "reg": arith.reg,
-            "eps_rel": _coords_to_json(eps_rel) if eps_rel else None,
-            "torsion": torsion,
-            "unit_index": ui,
-            "certified": certified,
-            "oracle_bounds": list(arith.bounds),
-            "reason": arith.reason,
-        })
+        cache.put(key, {"field_m": order.field.m, "D": key[1],
+                        "d_hnf": [list(r) for r in order.d_ideal.rows], **asdict(arith)})
     return arith
 
 
 def _base_unit(order):
     K = order.field
-    return ((K.eps.a, K.eps.b), (0, 0))
-
-
-def _coords_to_json(x):
-    (ua, ub), (va, vb) = x
-    return [ua, ub, va, vb]
-
-
-def _coords_from_json(v):
-    return ((v[0], v[1]), (v[2], v[3]))
+    return (K.eps.a, K.eps.b, 0, 0)

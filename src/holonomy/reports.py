@@ -80,6 +80,15 @@ def theta_sum(table: GeodesicTable, x: float) -> float:
     return total
 
 
+def _check_grid(table: GeodesicTable, grid) -> None:
+    """Every grid point must be finite and inside the table's length coverage."""
+    for x in grid:
+        if not math.isfinite(x):
+            raise ValueError(f"grid point {x} is not finite")
+        if x > table.x_max + 1e-9:
+            raise ValueError(f"grid point {x} exceeds table coverage {table.x_max}")
+
+
 def pgt_report(table: GeodesicTable, grid, count_all: bool = False) -> ComparisonReport:
     """Counting report: Theta(x) vs 2^(n+1) e^(x/2), pi_p(x) vs 2^n Li(e^x).
 
@@ -88,10 +97,9 @@ def pgt_report(table: GeodesicTable, grid, count_all: bool = False) -> Compariso
     """
     n = 1
     uncertified = [str(r.t) for r in table.rows if not r.certified]
+    _check_grid(table, grid)
     rows = []
     for x in grid:
-        if x > table.x_max + 1e-9:
-            raise ValueError(f"grid point {x} exceeds table coverage {table.x_max}")
         th = theta_sum(table, x)
         th_main = 2 ** (n + 1) * math.exp(x / 2)
         if count_all:
@@ -140,6 +148,7 @@ def weyl_sum(table: GeodesicTable, fn, x: float) -> float:
 
 def equi_report_function(table: GeodesicTable, f: TrigFunction, grid) -> ComparisonReport:
     """Equidistribution of folded holonomy angles against a test function."""
+    _check_grid(table, grid)
     target = mu_of_trig(f).real
     rows = []
     for x in grid:
@@ -191,6 +200,7 @@ def equi_report_rectangle(table: GeodesicTable, interval, N: int, grid,
     A union -A. The frequency is bracketed by extremal majorant/minorant
     Weyl sums of degree N.
     """
+    _check_grid(table, grid)
     lo, hi = float(interval[0]), float(interval[1])
     symmetric = abs(lo + hi) < 1e-12 or lo >= 0 or hi <= 0
     if not (abs(lo + hi) < 1e-12):
@@ -434,8 +444,8 @@ def geometric_side(table: GeodesicTable, m_index, tf: TestFunctionSpec, vol: flo
     so the truncation is exact, not approximate. Returns a dict of the three
     terms and their total (the spectral side is out of scope).
     """
-    if vol <= 0:
-        raise ValueError("vol must be positive")
+    if not 0 < vol < math.inf:
+        raise ValueError(f"vol must be positive and finite, got {vol}")
     if tf.support > table.x_max + 1e-9:
         raise ValueError("hhat support exceeds table coverage; truncation would be lossy")
     mv = m_index if isinstance(m_index, (tuple, list)) else (m_index,)

@@ -143,9 +143,13 @@ def enumerate_traces(field: BaseField, x: float) -> list[FieldElement]:
     by (iota_0, a, b): the part of BaseField.trace_strip(2 cosh(x/2)) with
     iota_0 > 2 (an exact sign) and length <= x at 96-bit precision.
     """
-    if x <= 0:
-        raise ValueError("cutoff must be positive")
-    return [t for t in field.trace_strip(2 * math.cosh(x / 2))
+    try:
+        R = 2 * math.cosh(x / 2)
+    except OverflowError:
+        R = math.inf
+    if not (x > 0 and R < math.inf):
+        raise ValueError(f"cutoff x must be positive with 2 cosh(x/2) a finite float, got {x}")
+    return [t for t in field.trace_strip(R)
             if (t - 2).sign(0) > 0 and trace_length(field, t) <= x + 1e-12]
 
 
@@ -172,7 +176,7 @@ def primitive_decomposition(order: RelativeQuadraticOrder, arith, t: FieldElemen
     conj = order.rel_conj(alpha)
     for q in (q0, q0 + 1, max(1, q0 - 1)):
         eps_pow = _order_power(order, arith.eps_rel, q)
-        neg = ((-eps_pow[0][0], -eps_pow[0][1]), (-eps_pow[1][0], -eps_pow[1][1]))
+        neg = tuple(-c for c in eps_pow)
         if alpha in (eps_pow, neg) or conj in (eps_pow, neg):
             t_p = order.rel_trace(arith.eps_rel)
             return q, t_p
@@ -190,8 +194,23 @@ def _order_power(order, x, k: int):
     return r
 
 
+def _split_data(field: BaseField, D: FieldElement, d_id: IdealK, f_id: IdealK,
+                spec: LatticeSpec, cache: OrderCache | None):
+    """(SplitData, order, arithmetic) of the split (D) = d * f^2; the
+    arithmetic is None, and m1 zero, when the split is not realizable."""
+    order = build_order(field, D, d_id, f_id)
+    sd = SplitData(d_id, f_id, order.realizable)
+    if not order.realizable:
+        sd.m1 = Multiplicity(Fraction(0), Fraction(0), True)
+        return sd, order, None
+    arith = compute_arithmetic(order, cache)
+    sd.h_O, sd.unit_index, sd.reg, sd.certified = arith.h_O, arith.unit_index, arith.reg, arith.certified
+    sd.m1 = embedding_count(order, spec, arith.h_O, arith.unit_index, arith.certified)
+    return sd, order, arith
+
+
 def classify_trace(field: BaseField, t: FieldElement, spec: LatticeSpec,
-                   cache: OrderCache | None = None, stability_check: bool = True):
+                   cache: OrderCache | None = None):
     """GeodesicClass rows for one trace (one row per power index present)."""
     t = canonical_trace_sign(t)
     if not is_hyperbolic_elliptic_trace(field, t):
@@ -205,23 +224,13 @@ def classify_trace(field: BaseField, t: FieldElement, spec: LatticeSpec,
     iota1 = abs(t.approx(1))
     groups: dict[int, list[SplitData]] = {}
     for d_id, f_id in square_divisor_splits(D):
-        order = build_order(field, D, d_id, f_id)
-        sd = SplitData(d_id, f_id, order.realizable)
-        if not order.realizable:
-            sd.m1 = Multiplicity(Fraction(0), Fraction(0), True)
+        sd, order, arith = _split_data(field, D, d_id, f_id, spec, cache)
+        if arith is None:
             sd.q = 0
             groups.setdefault(-1, []).append(sd)
             continue
-        arith = compute_arithmetic(order, cache, stability_check)
-        sd.h_O = arith.h_O
-        sd.unit_index = arith.unit_index
-        sd.reg = arith.reg
-        sd.certified = arith.certified
-        sd.m1 = embedding_count(order, spec, arith.h_O, arith.unit_index, arith.certified)
-        q, t_p = primitive_decomposition(order, arith, t)
-        sd.q = q
-        sd.primitive_trace = t_p
-        groups.setdefault(q, []).append(sd)
+        sd.q, sd.primitive_trace = primitive_decomposition(order, arith, t)
+        groups.setdefault(sd.q, []).append(sd)
     rows = []
     nonreal = groups.pop(-1, [])
     for q in sorted(groups):
@@ -239,7 +248,7 @@ def classify_trace(field: BaseField, t: FieldElement, spec: LatticeSpec,
 
 
 def classify_elliptic_trace(field: BaseField, t: FieldElement, spec: LatticeSpec,
-                            cache: OrderCache | None = None, stability_check: bool = True) -> EllipticClass:
+                            cache: OrderCache | None = None) -> EllipticClass:
     t = canonical_trace_sign(t)
     if not is_elliptic_trace(field, t):
         raise ValueError("trace is not elliptic")
@@ -252,18 +261,10 @@ def classify_elliptic_trace(field: BaseField, t: FieldElement, spec: LatticeSpec
     weight_terms = []
     mult = Multiplicity(Fraction(0), Fraction(0), True)
     for d_id, f_id in square_divisor_splits(D):
-        order = build_order(field, D, d_id, f_id)
-        sd = SplitData(d_id, f_id, order.realizable)
-        if order.realizable:
-            arith = compute_arithmetic(order, cache, stability_check)
-            sd.h_O = arith.h_O
-            sd.unit_index = arith.unit_index
-            sd.certified = arith.certified
-            sd.m1 = embedding_count(order, spec, arith.h_O, arith.unit_index, arith.certified)
+        sd, _, arith = _split_data(field, D, d_id, f_id, spec, cache)
+        if arith is not None:
             weight_terms.append((sd.m1, arith.torsion))
             mult = mult + sd.m1
-        else:
-            sd.m1 = Multiplicity(Fraction(0), Fraction(0), True)
         splits.append(sd)
     return EllipticClass(t, angle0, angle1, splits, mult, weight_terms)
 
@@ -277,17 +278,16 @@ class GeodesicTable:
 
 
 def length_spectrum(field: BaseField, x: float, spec: LatticeSpec,
-                    cache: OrderCache | None = None, stability_check: bool = True,
-                    with_elliptic: bool = True) -> GeodesicTable:
+                    cache: OrderCache | None = None, with_elliptic: bool = True) -> GeodesicTable:
     """All geodesic classes with length <= x, sorted by length; deterministic."""
     rows = []
     for t in enumerate_traces(field, x):
-        rows.extend(classify_trace(field, t, spec, cache, stability_check))
+        rows.extend(classify_trace(field, t, spec, cache))
     rows.sort(key=lambda r: (r.length, str(r.t.a), str(r.t.b), r.q))
     ell = []
     if with_elliptic:
         for t in enumerate_elliptic_traces(field):
-            ell.append(classify_elliptic_trace(field, t, spec, cache, stability_check))
+            ell.append(classify_elliptic_trace(field, t, spec, cache))
     return GeodesicTable(field.m, x, rows, ell)
 
 

@@ -158,6 +158,27 @@ class TestCliFlows:
             (geometric + ["indicator_conv:1,-0.5"], "smoothing eps must be positive"),
             (geometric + ["indicator_conv:-1,0.5"], "half-width x must be >= 0"),
         ]
+        # numeric inputs that are not finite, or whose strip radius overflows a float
+        vol = ["trace", "geometric", "--in", table, "--weight", "2", "--testfn", "bump:3", "--vol"]
+        cases += [
+            (["enumerate", "--m", "2", "--x", "inf"], "cutoff x must be positive"),
+            (["enumerate", "--m", "2", "--x", "1e6"], "cutoff x must be positive"),
+            (["enumerate", "--m", "2", "--x", "nan"], "cutoff x must be positive"),
+            (["stats", "units", "--m", "2", "--T", "inf"], "--T must be positive and finite"),
+            (["stats", "units", "--m", "2", "--T", "3", "--fm", "0"], "char index"),
+            (["stats", "equi", "--in", table, "--fm", "0"], "char index"),
+            (["stats", "pgt", "--in", table, "--grid", "nan"], "grid point nan is not finite"),
+            (["stats", "equi", "--in", table, "--fm", "1", "--grid", "nan"],
+             "grid point nan is not finite"),
+            (["stats", "equi", "--in", table, "--fm", "1", "--grid", "20"],
+             "grid point 20.0 exceeds table coverage"),
+            (["stats", "equi", "--in", table, "--rect=-1:1", "--grid", "inf"],
+             "grid point inf is not finite"),
+            (["stats", "pgt", "--in", table, "--grid", "20"], "grid point 20.0 exceeds table coverage"),
+            (vol + ["nan"], "vol must be positive and finite"),
+            (vol + ["inf"], "vol must be positive and finite"),
+            (vol + ["0"], "vol must be positive and finite"),
+        ]
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
         short_row = tmp_path / "short_row.csv"
         head = Path(table).read_text().splitlines()[:2]

@@ -3,6 +3,7 @@ import math
 import re
 import shutil
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from holonomy.fields import (
     ideal_of_element,
     k_module_rows,
     kdiv_exact,
+    kmul,
     make_field,
     parse_element,
     prime_elements_above,
@@ -60,7 +62,7 @@ from holonomy.orders import (
     sqrt_in_K,
     unit_norm_index,
 )
-from holonomy.intlinalg import hnf, hnf_key, in_lattice, pivot_product
+from holonomy.intlinalg import congruence_lattice, hnf, hnf_key, in_lattice, pivot_product
 from holonomy.spectrum import classify_elliptic_trace, enumerate_elliptic_traces, enumerate_traces
 
 K2 = make_field(2)
@@ -192,7 +194,7 @@ def two_pass_class_set(order, units, key, B, restrict_to, budget=6_000_000):
     rows = [list(r) for r in key]
     inv_rows, denom = _inverse_lattice(order, rows)
     found = set()
-    for _, y in enumerate_mod_units(order, inv_rows, denom ** 3, B * denom ** 3, units,
+    for y in enumerate_mod_units(order, inv_rows, denom ** 3, B * denom ** 3, units,
                                     budget=budget):
         _, prim = _k_content_and_primitive(order, hnf(_scale_rows(order, rows, y)))
         k2 = tuple(tuple(r) for r in prim)
@@ -215,6 +217,76 @@ def hnf_content_and_primitive(order, rows):
         v = kdiv_exact(K, (r[2], r[3]), (c.a, c.b))
         prim.append([u[0], u[1], v[0], v[1]])
     return c, hnf(prim)
+
+
+def nest(x):
+    """A flat order element (u_a, u_b, v_a, v_b) as the pair ((u_a, u_b), (v_a, v_b))."""
+    return ((x[0], x[1]), (x[2], x[3]))
+
+
+def nested_mul(order, x, y):
+    """Order multiplication on ((u_a, u_b), (v_a, v_b)) pairs, the element
+    form before flat 4-tuples; kept, with the helpers below, as the oracle of
+    the flat form."""
+    K = order.field
+    (u1, v1), (u2, v2) = x, y
+    add = lambda a, b: (a[0] + b[0], a[1] + b[1])  # noqa: E731
+    vv = kmul(K, v1, v2)
+    u = add(kmul(K, u1, u2), kmul(K, vv, order.q_coef))
+    v = add(add(kmul(K, u1, v2), kmul(K, u2, v1)), kmul(K, vv, order.p_coef))
+    return (u, v)
+
+
+def nested_mult_matrix(order, g):
+    """Integer matrix of y -> g*y on the Z-basis (1, w, xi, w xi)."""
+    basis = [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))]
+    cols = []
+    for b in basis:
+        (ua, ub), (va, vb) = nested_mul(order, g, b)
+        cols.append([ua, ub, va, vb])
+    return [[cols[j][i] for j in range(4)] for i in range(4)]
+
+
+def nested_inverse_lattice(order, rows):
+    n = pivot_product(rows)
+    stacked = []
+    for r in rows:
+        stacked.extend(nested_mult_matrix(order, ((r[0], r[1]), (r[2], r[3]))))
+    return congruence_lattice(stacked, n), n
+
+
+def nested_scale_rows(order, rows, x):
+    out = []
+    for r in rows:
+        (ua, ub), (va, vb) = nested_mul(order, x, ((r[0], r[1]), (r[2], r[3])))
+        out.append([ua, ub, va, vb])
+    return out
+
+
+def nested_coords_to_json(x):
+    (ua, ub), (va, vb) = x
+    return [ua, ub, va, vb]
+
+
+def nested_coords_from_json(v):
+    return ((v[0], v[1]), (v[2], v[3]))
+
+
+def hand_mapped_record(order, arith):
+    """The cache record as compute_arithmetic wrote it field by field."""
+    return {
+        "field_m": order.field.m,
+        "D": order.cache_key()[1],
+        "d_hnf": [list(r) for r in order.d_ideal.rows],
+        "h_O": arith.h_O,
+        "reg": arith.reg,
+        "eps_rel": nested_coords_to_json(nest(arith.eps_rel)) if arith.eps_rel else None,
+        "torsion": arith.torsion,
+        "unit_index": arith.unit_index,
+        "certified": arith.certified,
+        "oracle_bounds": list(arith.oracle_bounds),
+        "reason": arith.reason,
+    }
 
 
 def split_list_maximal_disc(K, D):
@@ -555,6 +627,17 @@ class TestClassNumberOracle:
         got = [class_sets(order, units, res.bound2) for (order, units, *_), res in sample]
         assert got == want
 
+    def test_inverse_lattice_and_scaling_match_nested_oracle(self, cold_x5):
+        _, _, _, searches, _ = cold_x5
+        seeds = {(id(order), key): (order, key) for (order, _, key, *_), _ in searches}
+        assert len(seeds) >= 20
+        for order, key in seeds.values():
+            rows = [list(r) for r in key]
+            inv_rows, denom = _inverse_lattice(order, rows)
+            assert (inv_rows, denom) == nested_inverse_lattice(order, rows)
+            for y in inv_rows:
+                assert _scale_rows(order, rows, y) == nested_scale_rows(order, rows, nest(y))
+
     def test_content_test_matches_hnf_on_every_y(self, cold_x5):
         _, _, contents, *_ = cold_x5
         assert len(contents) > 700
@@ -663,8 +746,8 @@ class TestBuildOrder:
                 continue
             for d_id, _ in square_divisor_splits(D):
                 O = build_order(K, D, d_id)
-                xi = ((0, 0), (1, 0))
-                w_elt = ((0, 1), (0, 0))
+                xi = (0, 0, 1, 0)
+                w_elt = (0, 1, 0, 0)
                 for x in (xi, O.mul(xi, xi), O.mul(xi, w_elt)):
                     nr = O.rel_norm(x)
                     tr = O.rel_trace(x)
@@ -711,9 +794,9 @@ class TestUnits:
         O = order_for_trace(K2, K2.elt(1, 1))
         eps, reg, tor = relative_fundamental_unit(O)
         alpha = O.from_sqrt_form(K2.elt(1, 1), O.f_elt)
-        neg = ((-alpha[0][0], -alpha[0][1]), (-alpha[1][0], -alpha[1][1]))
+        neg = tuple(-c for c in alpha)
         conj = O.rel_conj(alpha)
-        nconj = ((-conj[0][0], -conj[0][1]), (-conj[1][0], -conj[1][1]))
+        nconj = tuple(-c for c in conj)
         assert eps in (alpha, neg, conj, nconj)
         assert abs(reg - 0.6329743192) < 1e-8
         assert tor == 2
@@ -733,7 +816,7 @@ class TestUnits:
         eps, reg, _ = relative_fundamental_unit(O)
         alpha2 = O.from_sqrt_form(t2, O.f_elt) or O.from_sqrt_form(t2, -O.f_elt)
         sq = O.mul(eps, eps)
-        neg = ((-sq[0][0], -sq[0][1]), (-sq[1][0], -sq[1][1]))
+        neg = tuple(-c for c in sq)
         conj = O.rel_conj(alpha2)
         assert alpha2 in (sq, neg) or conj in (sq, neg)
 
@@ -745,7 +828,7 @@ class TestUnits:
             for ub in range(-6, 7):
                 for va in range(-6, 7):
                     for vb in range(-6, 7):
-                        x = ((ua, ub), (va, vb))
+                        x = (ua, ub, va, vb)
                         if O.rel_norm(x) != 1:
                             continue
                         rho = O.embeddings(x)[0]
@@ -832,20 +915,20 @@ class TestClassNumber:
     def test_h_one_certified(self):
         O = order_for_trace(K2, K2.elt(1, 1))
         eps, _, _ = relative_fundamental_unit(O)
-        res = class_number(O, [((1, 1), (0, 0)), eps])
+        res = class_number(O, [(1, 1, 0, 0), eps])
         assert res.h == 1 and res.certified
         assert res.bound2 == 2 * res.bound
 
     def test_h_two_certified(self):
         O = order_for_trace(K2, K2.elt(10, 7))
         eps, _, _ = relative_fundamental_unit(O)
-        res = class_number(O, [((1, 1), (0, 0)), eps])
+        res = class_number(O, [(1, 1, 0, 0), eps])
         assert res.h == 2 and res.certified
 
     def test_inconclusive_on_tiny_budget(self):
         O = order_for_trace(K2, K2.elt(3, 1))
         eps, _, _ = relative_fundamental_unit(O)
-        res = class_number(O, [((1, 1), (0, 0)), eps], budget=1)
+        res = class_number(O, [(1, 1, 0, 0), eps], budget=1)
         assert not res.certified
         assert "box too large" in res.reason
 
@@ -1005,6 +1088,22 @@ class TestArithmeticCache:
         with open(path) as fh:
             assert len(fh.readlines()) == 1
 
+    @pytest.mark.parametrize("t", [K2.elt(1, 1), K2.elt(0, 0)])
+    def test_record_and_eps_rel_roundtrip_match_nested_oracle(self, tmp_path, t):
+        path = tmp_path / "cache.jsonl"
+        O = order_for_trace(K2, t)
+        a1 = compute_arithmetic(O, OrderCache(str(path)))
+        line = path.read_text()
+        assert line == json.dumps(hand_mapped_record(O, a1), sort_keys=True) + "\n"
+        a2 = compute_arithmetic(O, OrderCache(str(path)))
+        assert a2 == a1
+        er = json.loads(line)["eps_rel"]
+        if O.signature == HYPERBOLIC_ELLIPTIC:
+            assert type(a2.eps_rel) is tuple and len(a2.eps_rel) == 4
+            assert nest(a2.eps_rel) == nested_coords_from_json(er)
+        else:
+            assert a2.eps_rel is None and er is None
+
     def test_truncated_final_record_is_skipped_then_cut_off(self, tmp_path, capsys):
         data = SHIPPED_CACHE.read_bytes()
         nrec = data.count(b"\n")
@@ -1063,6 +1162,50 @@ class TestArithmeticCache:
 
 
 RESIDUES = list(product(range(4), repeat=2))
+
+
+@cache
+def flat_form_orders():
+    """Every split order of the hyperbolic-elliptic traces up to x = 4 and of
+    the CM traces, for m in 2, 3, 5 and 13."""
+    out = []
+    for m in (2, 3, 5, 13):
+        K = make_field(m)
+        for t in enumerate_traces(K, 4.0) + enumerate_elliptic_traces(K):
+            D = t * t - 4
+            out += [build_order(K, D, dd, ff) for dd, ff in square_divisor_splits(D)]
+    return out
+
+
+flat_elements = st.tuples(*[st.integers(-30, 30)] * 4)
+
+
+class TestFlatElements:
+    """Order elements are integer 4-tuples over (1, w, xi, w xi); mul is
+    checked against FieldElement arithmetic in the form (a + b sqrt(Dred))/2."""
+
+    def test_orders_cover_both_signatures(self):
+        sigs = {O.signature for O in flat_form_orders()}
+        assert {HYPERBOLIC_ELLIPTIC, TOTALLY_ELLIPTIC} <= sigs
+
+    @settings(max_examples=300, deadline=None)
+    @given(i=st.integers(0, 10 ** 6), x=flat_elements, y=flat_elements, z=flat_elements)
+    def test_mul_matches_field_arithmetic(self, i, x, y, z):
+        orders = flat_form_orders()
+        O = orders[i % len(orders)]
+        xy = O.mul(x, y)
+        assert type(xy) is tuple and len(xy) == 4 and all(type(c) is int for c in xy)
+        (a1, b1), (a2, b2) = O.to_sqrt_form(x), O.to_sqrt_form(y)
+        # (a1 + b1 r)/2 * (a2 + b2 r)/2 with r^2 = Dred
+        assert O.to_sqrt_form(xy) == ((a1 * a2 + b1 * b2 * O.Dred) / 2, (a1 * b2 + a2 * b1) / 2)
+        assert O.from_sqrt_form(*O.to_sqrt_form(x)) == x
+        assert xy == O.mul(y, x)
+        assert O.mul(xy, z) == O.mul(x, O.mul(y, z))
+        assert O.mul(x, O.one()) == x
+        assert xy == tuple(c for pair in nested_mul(O, nest(x), nest(y)) for c in pair)
+        n = O.rel_norm(x)
+        assert O.mul(x, O.rel_conj(x)) == (n.a, n.b, 0, 0)
+        assert O.abs_norm_int(x) == n.norm()
 
 
 class TestParityTable:
