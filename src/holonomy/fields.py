@@ -389,9 +389,6 @@ class BaseField:
     def one(self) -> FieldElement:
         return FieldElement(self, 1, 0)
 
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0, 0)
-
     def w(self) -> FieldElement:
         return FieldElement(self, 0, 1)
 

@@ -89,36 +89,3 @@ def in_lattice(vec, hnf_rows):
             v[i] -= q * r[i]
     return all(x == 0 for x in v)
 
-
-def integer_kernel(mat):
-    """Basis of {x in Z^n : mat @ x = 0} for an integer matrix (m x n).
-
-    Computed by running HNF on [mat^T | I_n] and collecting the
-    transformation rows whose image is zero.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = []
-    for i in range(n):
-        row = [mat[r][i] for r in range(m)] + [0] * n
-        row[m + i] = 1
-        aug.append(row)
-    red = hnf(aug)
-    ker = []
-    for r in red:
-        if all(x == 0 for x in r[:m]):
-            ker.append(r[m:])
-    return ker
-
-
-def congruence_lattice(mat, mod):
-    """Basis of {x in Z^n : mat @ x = 0 (mod m)} as integer rows."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    # kernel of [mat | mod*I_m] projected to the first n coordinates
-    big = [list(mat[r]) + [0] * m for r in range(m)]
-    for r in range(m):
-        big[r][n + r] = mod
-    ker = integer_kernel(big)
-    rows = [k[:n] for k in ker]
-    return hnf(rows)

@@ -47,7 +47,7 @@ from .fields import (
     square_divisor_splits,
     valuation,
 )
-from .intlinalg import congruence_lattice, hnf, hnf_key, in_lattice, pivot_product
+from .intlinalg import hnf, hnf_key, pivot_product
 
 UNKNOWN = "UNKNOWN"
 
@@ -677,17 +677,13 @@ def primitive_proper_ideals(order, bound: int):
     for na, lst in gens:
         for a in lst:
             ai = (a.a, a.b)
-            ia = ideal_of_element(a)
-            (h00, h01), (_, h11) = ia.rows
-            arows = [list(ia.rows[0]), list(ia.rows[1])]
+            (h00, _), (_, h11) = ideal_of_element(a).rows
             for i in range(h00):
                 for j in range(h11):
                     bi = (i, j)
                     g = kmul(K, bi, (i + pi[0], j + pi[1]))  # b^2 + p b
                     g = (g[0] - qi[0], g[1] - qi[1])
-                    # divisibility g in (a) and the integer quotient g/a
-                    if not in_lattice([g[0], g[1]], arows):
-                        continue
+                    # a | g, with the integer quotient g/a
                     quo = kdiv_exact(K, g, ai)
                     if quo is None:
                         continue
@@ -705,14 +701,24 @@ def _gcd_is_unit_int(K: BaseField, elts) -> bool:
     return hnf_key(k_module_rows(K, elts)) == ((1, 0), (0, 1))
 
 
-def _inverse_lattice(order, rows):
-    """Lattice of x with x * J subseteq O, as (rows, denom)."""
+def _inverse_lattice(order, rows, a):
+    """(HNF of the lattice of x with x * J subseteq n * O, n) for the
+    primitive proper ideal J = O_K a + O_K (b + xi) with Z-rows `rows`.
+
+    J * conj(J) = a * O (Cohen, GTM 138, sec. 5.2), and n = [O:J] = |N(a)|
+    = +-a * a^sigma, so the lattice is n * J^{-1} = a^sigma * conj(J): the
+    relative conjugates of a^sigma times the rows of J. The asserts check
+    that it multiplies J into n * O and has index n^3 in O. J is proper,
+    hence invertible, so n * (O : J) = n * J^{-1} has index n^3 too, and the
+    two lattices are equal.
+    """
     n = pivot_product(rows)
-    # the multiplication matrix of each generator g: column j is g * (basis j)
-    stacked = []
-    for g in rows:
-        stacked.extend(zip(*_scale_rows(order, _STD_ROWS, g)))
-    return congruence_lattice(stacked, n), n
+    c = a.conj()
+    inv = hnf([order.rel_conj(order.mul((c.a, c.b, 0, 0), r)) for r in rows])
+    assert pivot_product(inv) == n ** 3, "inverse lattice has the wrong index"
+    assert all(e % n == 0 for x in inv for r in rows for e in order.mul(x, r)), \
+        "inverse lattice does not multiply J into n * O"
+    return inv, n
 
 
 def _scale_rows(order, rows, x):
@@ -755,7 +761,7 @@ class ClassNumberResult:
 
 
 def class_number(order: RelativeQuadraticOrder, units, bound_scale: float = 1.0,
-                 stability_check: bool = True, budget: int = 6_000_000) -> ClassNumberResult:
+                 budget: int = 6_000_000) -> ClassNumberResult:
     """Proper-ideal class number by exhaustive enumeration and merging.
 
     units: list of fundamental units of the order in xi-coords (from
@@ -772,18 +778,15 @@ def class_number(order: RelativeQuadraticOrder, units, bound_scale: float = 1.0,
     separate passes would give.
     """
     B = max(2, int(_MINK[order.signature] * math.sqrt(order.disc_z()) * bound_scale) + 1)
-    top = 2 * B if stability_check else B
-    cands = primitive_proper_ideals(order, top)
+    cands = primitive_proper_ideals(order, 2 * B)
     searches: dict = {}
     try:
         h1 = _class_count_at(order, units, B, {k: v for k, v in cands.items() if v[2] <= B},
-                             top, searches, budget)
+                             2 * B, searches, budget)
     except Inconclusive as e:
         return ClassNumberResult(0, False, B, None, str(e))
-    if not stability_check:
-        return ClassNumberResult(h1, False, B, None, "stability check skipped")
     try:
-        h2 = _class_count_at(order, units, 2 * B, cands, top, searches, budget)
+        h2 = _class_count_at(order, units, 2 * B, cands, 2 * B, searches, budget)
     except Inconclusive as e:
         return ClassNumberResult(h1, False, B, 2 * B, f"2x bound inconclusive: {e}")
     if h1 != h2:
@@ -794,9 +797,9 @@ def class_number(order: RelativeQuadraticOrder, units, bound_scale: float = 1.0,
 def _class_count_at(order, units, B: int, cands, top: int, searches: dict,
                     budget: int = 6_000_000) -> int:
     """Number of classes among the candidates (primitive proper ideals of
-    norm <= B), merging each unclassified seed with its class set; the
-    generator searches run at bound `top` and are shared through
-    `searches` (see _class_set)."""
+    norm <= B, as primitive_proper_ideals returns them), merging each
+    unclassified seed with its class set; the generator searches run at
+    bound `top` and are shared through `searches` (see _class_set)."""
     keys = set(cands.keys())
     classified: dict = {}
     n_classes = 0
@@ -804,7 +807,7 @@ def _class_count_at(order, units, B: int, cands, top: int, searches: dict,
         if key in classified:
             continue
         n_classes += 1
-        rset = _class_set(order, units, key, B, keys, top, searches, budget)
+        rset = _class_set(order, units, key, cands[key][0], B, keys, top, searches, budget)
         if key not in rset:
             raise Inconclusive("class set does not contain its own seed")
         for k2 in rset:
@@ -816,9 +819,10 @@ def _class_count_at(order, units, B: int, cands, top: int, searches: dict,
     return n_classes
 
 
-def _class_set(order, units, key, B: int, restrict_to, top: int, searches: dict,
+def _class_set(order, units, key, a, B: int, restrict_to, top: int, searches: dict,
                budget: int = 6_000_000):
-    """All candidate keys equivalent to the ideal `key` (norm <= B).
+    """All candidate keys equivalent to the ideal `key` = O_K a + O_K (b + xi)
+    (norm <= B).
 
     Every primitive ideal I ~ J of norm n2 <= B equals lam * J for a
     generator lam in J^{-1} with |N(lam)| = n2/N(J). Writing lam = y/N(J)
@@ -836,7 +840,7 @@ def _class_set(order, units, key, B: int, restrict_to, top: int, searches: dict,
     for bound in (top, B) if top > B else (top,):
         if (key, bound) not in searches:
             try:
-                searches[key, bound] = _generator_keys(order, units, key, bound, budget)
+                searches[key, bound] = _generator_keys(order, units, key, a, bound, budget)
             except Inconclusive as e:
                 searches[key, bound] = e
         got = searches[key, bound]
@@ -845,11 +849,12 @@ def _class_set(order, units, key, B: int, restrict_to, top: int, searches: dict,
     raise got
 
 
-def _generator_keys(order, units, key, bound: int, budget: int) -> dict:
+def _generator_keys(order, units, key, a, bound: int, budget: int) -> dict:
     """Key of the K-primitive part of y*J -> least |N(y)|, over the y with
-    |N(y)| in [N(J)^3, bound*N(J)^3] found modulo units (J = key)."""
+    |N(y)| in [N(J)^3, bound*N(J)^3] found modulo units
+    (J = key = O_K a + O_K (b + xi))."""
     rows = [list(r) for r in key]
-    inv_rows, denom = _inverse_lattice(order, rows)
+    inv_rows, denom = _inverse_lattice(order, rows, a)
     out: dict = {}
     for y in enumerate_mod_units(order, inv_rows, denom ** 3, bound * denom ** 3, units,
                                     budget=budget):
@@ -1027,10 +1032,6 @@ class Multiplicity:
     def __add__(self, other):
         return Multiplicity(self.lo + other.lo, self.hi + other.hi, self.certified and other.certified)
 
-    def scale(self, c) -> "Multiplicity":
-        c = Fraction(c)
-        return Multiplicity(self.lo * c, self.hi * c, self.certified)
-
 
 def m1_from_data(h_O: int, h_K: int, unit_index, r_A: int, local_factors) -> Multiplicity:
     """Optimal-embedding count formula from its ingredients.
@@ -1163,7 +1164,7 @@ def compute_arithmetic(order: RelativeQuadraticOrder, cache: OrderCache | None =
     else:
         raise ScopeError("class data is computed only for hyperbolic-elliptic and CM orders")
     try:
-        cn = class_number(order, units, bound_scale, True, budget)
+        cn = class_number(order, units, bound_scale, budget)
     except Inconclusive as e:
         cn = ClassNumberResult(0, False, 0, None, str(e))
     ui = unit_norm_index(order, eps_rel, budget)

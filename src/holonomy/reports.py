@@ -359,18 +359,15 @@ class TestFunctionSpec:
         """h on a real grid (vectorized)."""
         if self.family == "zero":
             return np.zeros_like(r)
-        nodes, weights = _gl_nodes(200)
+        nodes, wvals, norm = _bump_rule()
         if self.family == "indicator_conv":
             xx, eps = self.params
-            vals = np.exp(-1 / (1 - nodes ** 2))
-            norm = float(np.sum(weights * vals))
             # bump transform on the grid: sum_i w_i v_i cos(eps r t_i)
-            ft = (weights * vals) @ np.cos(np.outer(nodes, eps * r)) / norm
+            ft = wvals @ np.cos(np.outer(nodes, eps * r)) / norm
             core = np.where(np.abs(r) < 1e-12, 2 * xx, 2 * np.sin(xx * r) / np.where(r == 0, 1, r))
             return core * ft
         s = self.params[0]
-        vals = np.exp(-1 / (1 - nodes ** 2))
-        return s * ((weights * vals) @ np.cos(np.outer(nodes * s, r)))
+        return s * (wvals @ np.cos(np.outer(nodes * s, r)))
 
     @cached_property
     def _elliptic_nodes(self) -> list:
@@ -418,19 +415,22 @@ def _gl_nodes(n: int):
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
-_BUMP_NORM = None
+@cache
+def _bump_rule():
+    """(nodes, weights * v, sum of weights * v) for the 200-point rule and the
+    bump v = exp(-1/(1 - nodes^2)): the nodes, the weighted bump values and
+    the bump's integral over [-1, 1]."""
+    nodes, weights = _gl_nodes(200)
+    wvals = weights * np.exp(-1 / (1 - nodes ** 2))
+    return nodes, wvals, float(np.sum(wvals))
 
 
 def _bump_integral(a: float, b: float) -> float:
     """Integral of the normalized bump over [a, b] subset [-1, 1]."""
-    global _BUMP_NORM
     nodes, weights = _gl_nodes(200)
-    if _BUMP_NORM is None:
-        vals = np.exp(-1 / (1 - nodes ** 2))
-        _BUMP_NORM = float(np.sum(weights * vals))
     t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     vals = np.exp(-1 / np.maximum(1 - t * t, 1e-300))
-    return float(0.5 * (b - a) * np.sum(weights * vals) / _BUMP_NORM)
+    return float(0.5 * (b - a) * np.sum(weights * vals) / _bump_rule()[2])
 
 
 # ---------------------------------------------------------------------------

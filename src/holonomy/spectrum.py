@@ -35,6 +35,11 @@ from .orders import (
 
 LENGTH_PREC_BITS = 96
 
+# Largest strip radius 2 cosh(x/2) that enumerate_traces walks (x about 27.6
+# for m = 2): the walk is O(radius), and a table at this cutoff is already
+# far beyond what the class-number oracle can finish.
+MAX_STRIP_RADIUS = 1e6
+
 
 @dataclass
 class SplitData:
@@ -141,15 +146,12 @@ def canonical_trace_sign(t: FieldElement) -> FieldElement:
 def enumerate_traces(field: BaseField, x: float) -> list[FieldElement]:
     """All hyperbolic-elliptic traces with length <= x, up to sign, ordered
     by (iota_0, a, b): the part of BaseField.trace_strip(2 cosh(x/2)) with
-    iota_0 > 2 (an exact sign) and length <= x at 96-bit precision.
+    iota_0 > 2 (an exact sign) and length <= x at 96-bit precision. A cutoff
+    whose 2 cosh(x/2) exceeds MAX_STRIP_RADIUS raises ValueError.
     """
-    try:
-        R = 2 * math.cosh(x / 2)
-    except OverflowError:
-        R = math.inf
-    if not (x > 0 and R < math.inf):
-        raise ValueError(f"cutoff x must be positive with 2 cosh(x/2) a finite float, got {x}")
-    return [t for t in field.trace_strip(R)
+    if not 0 < x <= 2 * math.acosh(MAX_STRIP_RADIUS / 2):
+        raise ValueError(f"cutoff x must be positive with 2 cosh(x/2) <= {MAX_STRIP_RADIUS:g}, got {x}")
+    return [t for t in field.trace_strip(2 * math.cosh(x / 2))
             if (t - 2).sign(0) > 0 and trace_length(field, t) <= x + 1e-12]
 
 

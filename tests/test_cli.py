@@ -164,6 +164,9 @@ class TestCliFlows:
             (["enumerate", "--m", "2", "--x", "inf"], "cutoff x must be positive"),
             (["enumerate", "--m", "2", "--x", "1e6"], "cutoff x must be positive"),
             (["enumerate", "--m", "2", "--x", "nan"], "cutoff x must be positive"),
+            # finite, but a strip walk far beyond any table the program can finish
+            (["enumerate", "--m", "2", "--x", "1000"], "2 cosh(x/2) <= 1e+06"),
+            (["stats", "units", "--m", "2", "--T", "1e300"], "2 cosh(x/2) <= 1e+06"),
             (["stats", "units", "--m", "2", "--T", "inf"], "--T must be positive and finite"),
             (["stats", "units", "--m", "2", "--T", "3", "--fm", "0"], "char index"),
             (["stats", "equi", "--in", table, "--fm", "0"], "char index"),

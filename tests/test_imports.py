@@ -1,16 +1,34 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+function and method the package defines is named by the program.
 
 No linter ships with the project's dependencies, so this parses each module
 with ast: a name bound by an import must be read somewhere in the module,
-as a name or as the base of an attribute, or in a string annotation.
+as a name or as the base of an attribute, or in a string annotation. A
+top-level function or method of src/ must be named somewhere in src/,
+perfbench/ or scripts/, unless it is a test-backed helper in
+TEST_BACKED_HELPERS.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "holonomy"
+REPO = Path(__file__).parent.parent
+PACKAGE = REPO / "src" / "holonomy"
+
+# Helpers that only tests call, each backing a check of its own.
+TEST_BACKED_HELPERS = {
+    "correspondence_ratio": "acceptance criterion 7, the correspondence-matrix ratio",
+    "mu_quadrature": "acceptance criterion 1, the measure's orthogonality by quadrature",
+    "eval_basis_kernel": "acceptance criterion 1, the basis kernels that quadrature integrates",
+    "rect_approximant": "acceptance criterion 2, the extremal rectangle approximants",
+    "TrigPolynomial.coeff": "acceptance criterion 2, the Beurling-Selberg coefficient bounds",
+    "TrigPolynomial.integral": "acceptance criterion 2, the majorant and minorant integrals",
+    "TrigFunction.sign_symmetrize": "test_measure's tensor and sign-symmetrisation check",
+    "totally_positive_units_are_squares": "acceptance criterion 6, the narrow class criterion",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -39,3 +57,57 @@ def test_module_uses_every_import(path):
 def test_checker_flags_an_unused_import():
     src = "import os\nimport sys\nfrom math import pi, tau as t\nx: 'Fraction' = sys.argv\nprint(t)\n"
     assert unused_imports(src) == [(1, "os"), (3, "pi")]
+
+
+def defined_functions(source: str) -> list:
+    """Top-level functions and methods of top-level classes, as qualified
+    names; dunder methods are called by the language and are left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{n.name}" for n in node.body if isinstance(n, ast.FunctionDef)]
+    return [q for q in out if not q.rsplit(".", 1)[-1].startswith("__")]
+
+
+def named(sources) -> tuple:
+    """(names, attributes): every name read bare or as an identifier string
+    (the way perfbench/tracer.py names the modules and functions it wraps),
+    and every attribute read, or named last in a dotted string."""
+    names, attrs = set(), set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                    and re.fullmatch(r"[\w.]+", n.value):
+                *_, last = n.value.split(".")
+                (attrs if "." in n.value else names).add(last)
+    return names, attrs
+
+
+def unnamed_functions(package: dict, sources) -> list:
+    """(module, qualified name) of each function defined in `package`
+    (module -> source) that no source names; a method counts as named only
+    where it is read as an attribute."""
+    names, attrs = named(sources)
+    return sorted((mod, q) for mod, source in package.items() for q in defined_functions(source)
+                  if q.rsplit(".", 1)[-1] not in (attrs if "." in q else names | attrs))
+
+
+def test_every_function_is_named_by_the_program():
+    # equality, so an exempt helper that the program starts to call loses its exemption
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    sources = [p.read_text() for d in ("src", "perfbench", "scripts") for p in sorted((REPO / d).rglob("*.py"))]
+    assert {q for _, q in unnamed_functions(package, sources)} == set(TEST_BACKED_HELPERS)
+
+
+def test_checker_flags_an_unnamed_function():
+    src = ("def used():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\n"
+           "def dead():\n    pass\n\n\nclass C:\n    def __init__(self):\n        pass\n\n"
+           "    def traced(self):\n        pass\n\n    def gone(self):\n        pass\n")
+    tracer = "TRACED = {('m', 'C.traced'): 'wall_s'}\nused()\nKIND = 'gone'\n"
+    assert unnamed_functions({"m.py": src}, [src, tracer]) == [("m.py", "C.gone"), ("m.py", "dead")]

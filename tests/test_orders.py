@@ -62,7 +62,7 @@ from holonomy.orders import (
     sqrt_in_K,
     unit_norm_index,
 )
-from holonomy.intlinalg import congruence_lattice, hnf, hnf_key, in_lattice, pivot_product
+from holonomy.intlinalg import hnf, hnf_key, in_lattice, pivot_product
 from holonomy.spectrum import classify_elliptic_trace, enumerate_elliptic_traces, enumerate_traces
 
 K2 = make_field(2)
@@ -150,16 +150,15 @@ def gso_lll_rows_metric(rows, vecs):
     return B, V
 
 
-def two_pass_class_number(order, units, bound_scale=1.0, stability_check=True, budget=6_000_000):
+def two_pass_class_number(order, units, bound_scale=1.0, budget=6_000_000):
     """The class-number oracle that searched bound B and bound 2B separately,
-    kept as the oracle of the shared 2B enumeration."""
+    with inverse lattices from the integer-kernel solver; kept as the oracle
+    of the shared 2B enumeration and of the inverse by conjugation."""
     B = max(2, int(_MINK[order.signature] * math.sqrt(order.disc_z()) * bound_scale) + 1)
     try:
         h1 = two_pass_count_at(order, units, B, budget)
     except Inconclusive as e:
         return ClassNumberResult(0, False, B, None, str(e))
-    if not stability_check:
-        return ClassNumberResult(h1, False, B, None, "stability check skipped")
     try:
         h2 = two_pass_count_at(order, units, 2 * B, budget)
     except Inconclusive as e:
@@ -192,7 +191,7 @@ def two_pass_count_at(order, units, B, budget=6_000_000):
 
 def two_pass_class_set(order, units, key, B, restrict_to, budget=6_000_000):
     rows = [list(r) for r in key]
-    inv_rows, denom = _inverse_lattice(order, rows)
+    inv_rows, denom = nested_inverse_lattice(order, rows)
     found = set()
     for y in enumerate_mod_units(order, inv_rows, denom ** 3, B * denom ** 3, units,
                                     budget=budget):
@@ -247,7 +246,34 @@ def nested_mult_matrix(order, g):
     return [[cols[j][i] for j in range(4)] for i in range(4)]
 
 
+def integer_kernel(mat):
+    """Basis of {x in Z^n : mat @ x = 0} for an integer matrix (m x n): HNF
+    of [mat^T | I_n], keeping the transformation rows whose image is zero."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    aug = []
+    for i in range(n):
+        row = [mat[r][i] for r in range(m)] + [0] * n
+        row[m + i] = 1
+        aug.append(row)
+    return [r[m:] for r in hnf(aug) if all(x == 0 for x in r[:m])]
+
+
+def congruence_lattice(mat, mod):
+    """HNF basis of {x in Z^n : mat @ x = 0 (mod mod)}: the kernel of
+    [mat | mod*I_m] projected to the first n coordinates."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    big = [list(mat[r]) + [0] * m for r in range(m)]
+    for r in range(m):
+        big[r][n + r] = mod
+    return hnf([k[:n] for k in integer_kernel(big)])
+
+
 def nested_inverse_lattice(order, rows):
+    """The lattice of x with x * J in n * O, n = [O:J], solved as a
+    congruence on the stacked multiplication matrices of J's rows: the
+    integer-kernel route that the inverse by conjugation replaced."""
     n = pivot_product(rows)
     stacked = []
     for r in rows:
@@ -591,35 +617,29 @@ class TestClassNumberOracle:
         _, orders, *_ = cold_x5
         assert len(orders) == 20
         edge = 0
-        for (order, units, scale, stab, budget), res in orders:
+        for (order, units, scale, budget), res in orders:
             assert res.certified
-            assert res == two_pass_class_number(order, units, scale, stab, budget)
-            tiny = class_number(order, units, scale, stab, 1)
+            assert res == two_pass_class_number(order, units, scale, budget)
+            tiny = class_number(order, units, scale, 1)
             assert not tiny.certified and "box too large" in tiny.reason
-            assert tiny == two_pass_class_number(order, units, scale, stab, 1)
+            assert tiny == two_pass_class_number(order, units, scale, 1)
             # a budget that fits every bound-B box but not every 2B box
             b1 = largest_box(lambda: two_pass_count_at(order, units, res.bound))
             b2 = largest_box(lambda: two_pass_count_at(order, units, res.bound2))
             if b1 < b2:
                 edge += 1
-                got = class_number(order, units, scale, stab, b1)
+                got = class_number(order, units, scale, b1)
                 assert got.reason.startswith("2x bound inconclusive: enumeration box too large")
-                assert got == two_pass_class_number(order, units, scale, stab, b1)
+                assert got == two_pass_class_number(order, units, scale, b1)
         assert edge >= 5
-
-    def test_stability_check_off_searches_bound_b_only(self, cold_x5):
-        _, orders, *_ = cold_x5
-        for (order, units, scale, _, budget), res in orders[:5]:
-            got = class_number(order, units, scale, False, budget)
-            assert got == ClassNumberResult(res.h, False, res.bound, None, "stability check skipped")
-            assert got == two_pass_class_number(order, units, scale, False, budget)
 
     def test_doubled_padding_gives_the_same_class_sets(self, cold_x5, monkeypatch):
         _, orders, *_ = cold_x5
 
         def class_sets(order, units, B2):
-            keys = set(primitive_proper_ideals(order, B2))
-            return {key: _class_set(order, units, key, B2, keys, B2, {}) for key in keys}
+            cands = primitive_proper_ideals(order, B2)
+            return {key: _class_set(order, units, key, a, B2, set(cands), B2, {})
+                    for key, (a, *_) in cands.items()}
 
         sample = sorted(orders, key=lambda o: o[1].bound)[:6]
         want = [class_sets(order, units, res.bound2) for (order, units, *_), res in sample]
@@ -628,15 +648,19 @@ class TestClassNumberOracle:
         assert got == want
 
     def test_inverse_lattice_and_scaling_match_nested_oracle(self, cold_x5):
-        _, _, _, searches, _ = cold_x5
-        seeds = {(id(order), key): (order, key) for (order, _, key, *_), _ in searches}
-        assert len(seeds) >= 20
-        for order, key in seeds.values():
-            rows = [list(r) for r in key]
-            inv_rows, denom = _inverse_lattice(order, rows)
-            assert (inv_rows, denom) == nested_inverse_lattice(order, rows)
-            for y in inv_rows:
-                assert _scale_rows(order, rows, y) == nested_scale_rows(order, rows, nest(y))
+        # on every primitive proper ideal the build lists, not only the seeds
+        _, orders, *_ = cold_x5
+        n_ideals = conjugate_side = 0
+        for (order, *_), res in orders:
+            for key, (a, *_) in primitive_proper_ideals(order, res.bound2).items():
+                rows = [list(r) for r in key]
+                inv_rows, denom = _inverse_lattice(order, rows, a)
+                assert (inv_rows, denom) == nested_inverse_lattice(order, rows)
+                for y in inv_rows:
+                    assert _scale_rows(order, rows, y) == nested_scale_rows(order, rows, nest(y))
+                n_ideals += 1
+                conjugate_side += a != a.conj()
+        assert n_ideals > 100 and conjugate_side > 50
 
     def test_content_test_matches_hnf_on_every_y(self, cold_x5):
         _, _, contents, *_ = cold_x5
@@ -1206,6 +1230,30 @@ class TestFlatElements:
         n = O.rel_norm(x)
         assert O.mul(x, O.rel_conj(x)) == (n.a, n.b, 0, 0)
         assert O.abs_norm_int(x) == n.norm()
+
+
+class TestInverseByConjugation:
+    """_inverse_lattice reads n * J^{-1} off a^sigma * conj(J); the
+    integer-kernel solve it replaced is the oracle, on every primitive
+    proper ideal up to a small norm bound of drawn traces' split orders."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    @settings(max_examples=15, deadline=None)
+    @given(ta=st.integers(-12, 12), tb=st.integers(-6, 6), i=st.integers(0, 10 ** 6),
+           bound=st.integers(2, 40))
+    def test_matches_the_kernel_solve(self, m, ta, tb, i, bound):
+        K = make_field(m)
+        D = K.elt(ta, tb) ** 2 - 4
+        assume(D != 0)
+        splits = square_divisor_splits(D)
+        dd, ff = splits[i % len(splits)]
+        try:
+            O = build_order(K, D, dd, ff)
+        except ValueError:  # D a square in K
+            assume(False)
+        for key, (a, *_) in primitive_proper_ideals(O, bound).items():
+            rows = [list(r) for r in key]
+            assert _inverse_lattice(O, rows, a) == nested_inverse_lattice(O, rows), key
 
 
 class TestParityTable:
