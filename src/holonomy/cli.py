@@ -320,7 +320,10 @@ def _dispatch(args, cfg: RunConfig) -> int:
 
     if args.cmd == "oracle" and args.sub == "class-number":
         K = make_field(args.m)
-        D = parse_element(K, args.D)
+        try:
+            D = parse_element(K, args.D)
+        except ValueError as e:
+            raise ValueError(f"--D: {e}") from None
         if args.d:
             rows = _parse_hnf(args.d)
             # locate matching split to get a principal generator

@@ -1,11 +1,15 @@
-"""Exact arithmetic in real quadratic fields K = Q(sqrt(m)).
+"""Exact arithmetic in the ring of integers O_K of K = Q(sqrt(m)).
 
-Elements are stored as a + b*w over the integral generator w (sqrt(m) for
-m = 2,3 mod 4, (1+sqrt(m))/2 for m = 1 mod 4). A coordinate is a Python int
-whenever its denominator is 1 and a Fraction only where a true division
-leaves a denominator, so integral elements run on integers throughout.
-All order/sign decisions are made by exact arithmetic, never by floats;
-floating enclosures are available for numerics but carry rigorous widths.
+An element is a + b*w with Python int coordinates over the integral
+generator w (sqrt(m) for m = 2,3 mod 4, (1+sqrt(m))/2 for m = 1 mod 4).
+Division is exact division in O_K: x / y raises ArithmeticError when y
+does not divide x, and quotient(x, y) returns None instead. O_K is
+integrally closed, so a square root or quotient that exists in K is
+integral, and the program needs no rational element of K. Each formula
+lives once, in the integer-pair helpers (kmul, knorm, kconj, kdiv_exact)
+that the hot loops call directly. All order/sign decisions are made by
+exact arithmetic, never by floats; floating enclosures are available for
+numerics but carry rigorous widths.
 """
 
 from __future__ import annotations
@@ -33,28 +37,8 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def _coord(x):
-    """x as an exact coordinate: an int, or a Fraction with denominator > 1."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        if isinstance(x, float):
-            raise TypeError(f"float coordinate {x!r}: field coordinates must be exact")
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _qdiv(x, n):
-    """Exact quotient x / n of rationals (n != 0): an int when n divides x."""
-    if type(x) is int and type(n) is int:
-        q, r = divmod(x, n)
-        if not r:
-            return q
-    return _coord(Fraction(x, n))
-
-
 def sign_p_q_sqrt(p, q, m: int) -> int:
-    """Exact sign of p + q*sqrt(m) for rational p, q (ints stay ints)."""
+    """Exact sign of p + q*sqrt(m) for integers p, q."""
     if q == 0:
         return 0 if p == 0 else (1 if p > 0 else -1)
     if p == 0:
@@ -91,13 +75,18 @@ def knorm(K: "BaseField", x) -> int:
     return a * a + a * b * c1 - b * b * c0
 
 
+def kconj(K: "BaseField", x):
+    """The Galois conjugate of an integer pair: conj(w) = tr(w) - w."""
+    return (x[0] + K._trace_w * x[1], -x[1])
+
+
 def kdiv_exact(K: "BaseField", x, y):
     """x / y for integer pairs when the quotient is integral, via
     x * conj(y) / N(y); else None (also for y = 0)."""
     n = knorm(K, y)
     if n == 0:
         return None
-    a, b = kmul(K, x, (y[0] + K._trace_w * y[1], -y[1]))
+    a, b = kmul(K, x, kconj(K, y))
     if a % n or b % n:
         return None
     return (a // n, b // n)
@@ -114,15 +103,17 @@ def k_module_rows(K: "BaseField", elts):
 
 
 class FieldElement:
-    """Element a + b*w of K with exact coordinates: each an int when
-    integral, else a Fraction; a float coordinate raises TypeError."""
+    """Element a + b*w of O_K with Python int coordinates; any other
+    coordinate type raises TypeError."""
 
     __slots__ = ("field", "a", "b")
 
-    def __init__(self, field: "BaseField", a, b):
+    def __init__(self, field: "BaseField", a: int, b: int):
+        if type(a) is not int or type(b) is not int:
+            raise TypeError(f"coordinates ({a!r}, {b!r}) of an O_K element must be ints")
         self.field = field
-        self.a = a if type(a) is int else _coord(a)
-        self.b = b if type(b) is int else _coord(b)
+        self.a = a
+        self.b = b
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
@@ -157,12 +148,13 @@ class FieldElement:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero field element")
-        num = self * o.conj()
-        return FieldElement(self.field, _qdiv(num.a, n), _qdiv(num.b, n))
+        """Exact division in O_K: ArithmeticError when other does not divide."""
+        q = quotient(self, other)
+        if q is None:
+            if other == 0:
+                raise ZeroDivisionError("division by zero field element")
+            raise ArithmeticError(f"{other} does not divide {self} in O_K")
+        return q
 
     def __pow__(self, k: int):
         if k < 0:
@@ -185,19 +177,20 @@ class FieldElement:
 
     # -- field-theoretic data ----------------------------------------------
     def conj(self) -> "FieldElement":
-        tw = self.field._trace_w
-        return FieldElement(self.field, self.a + self.b * tw, -self.b)
+        return FieldElement(self.field, *kconj(self.field, (self.a, self.b)))
 
-    def norm(self):
-        c0, c1 = self.field._w2
-        # N(a + bw) = a^2 + ab*tr(w) - b^2 * (w*conj(w)) ; w*wbar = -c0 when tr=c1
-        return _coord(self.a * self.a + self.a * self.b * c1 - self.b * self.b * c0)
+    def norm(self) -> int:
+        return knorm(self.field, (self.a, self.b))
 
     def sqrt_coords(self):
-        """(p, q) with self = p + q*sqrt(m), exact."""
-        if self.field._half_basis:
-            return (_qdiv(2 * self.a + self.b, 2), _qdiv(self.b, 2))
-        return (self.a, self.b)
+        """(p, q) with self = p + q*sqrt(m): ints, or Fraction halves when
+        m = 1 mod 4 and b is odd."""
+        a, b = self.a, self.b
+        if not self.field._half_basis:
+            return (a, b)
+        if b % 2 == 0:
+            return (a + b // 2, b // 2)
+        return (Fraction(2 * a + b, 2), Fraction(b, 2))
 
     def sign(self, place: int) -> int:
         # 2*self = (2a + b) + b*sqrt(m) when w = (1 + sqrt(m))/2: same sign
@@ -235,15 +228,12 @@ class FieldElement:
         pd, qd = p.denominator, q.denominator
         return (p.numerator * qd * (2 << k) + q.numerator * pd * s) / (pd * qd * (2 << k))
 
-    def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
-
     def is_unit(self) -> bool:
-        return self.is_integral() and abs(self.norm()) == 1
+        return abs(self.norm()) == 1
 
     # -- misc ----------------------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.b == 0 and self.a == other
         return (
             isinstance(other, FieldElement)
@@ -262,49 +252,49 @@ class FieldElement:
         return format_element(self)
 
 
+def quotient(x: FieldElement, y) -> FieldElement | None:
+    """x / y in O_K, or None when y does not divide x (also for y = 0):
+    kdiv_exact on elements; y may be an int."""
+    y = x._coerce(y)
+    q = kdiv_exact(x.field, (x.a, x.b), (y.a, y.b))
+    return None if q is None else FieldElement(x.field, *q)
+
+
 def format_element(x: FieldElement) -> str:
     """Canonical text form a+b*w used in CLI and CSV."""
-
-    def fr(f: Fraction) -> str:
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-    if x.b == 0:
-        return fr(x.a)
-    bpart = "w" if x.b == 1 else ("-w" if x.b == -1 else f"{fr(x.b)}*w")
-    if x.a == 0:
+    a, b = x.a, x.b
+    if b == 0:
+        return str(a)
+    bpart = "w" if b == 1 else ("-w" if b == -1 else f"{b}*w")
+    if a == 0:
         return bpart
-    sign = "+" if x.b > 0 else ""
-    return f"{fr(x.a)}{sign}{bpart}" if bpart.startswith("-") or sign else f"{fr(x.a)}+{bpart}"
+    return f"{a}{bpart}" if b < 0 else f"{a}+{bpart}"
 
 
 def parse_element(field: "BaseField", text: str) -> FieldElement:
-    """Parse the canonical a+b*w form (whitespace tolerated)."""
+    """Parse the canonical a+b*w form (whitespace tolerated), with integer
+    a and b; anything else raises ValueError."""
     s = text.replace(" ", "").replace("*w", "w")
-    if not s:
-        raise ValueError("empty element string")
-    # split into at most two signed terms
+    # split into signed terms
     terms = []
     cur = ""
     for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-/":
+        if ch in "+-" and i > 0 and s[i - 1] not in "+-":
             terms.append(cur)
             cur = ch
         else:
             cur += ch
     terms.append(cur)
-    a = Fraction(0)
-    b = Fraction(0)
-    for t in terms:
-        if t.endswith("w"):
-            coef = t[:-1]
-            if coef in ("", "+"):
-                b += 1
-            elif coef == "-":
-                b -= 1
+    a = b = 0
+    try:
+        for t in terms:
+            if t.endswith("w"):
+                coef = t[:-1]
+                b += 1 if coef in ("", "+") else (-1 if coef == "-" else int(coef))
             else:
-                b += Fraction(coef)
-        else:
-            a += Fraction(t)
+                a += int(t)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an element a+b*w with integers a and b") from None
     return FieldElement(field, a, b)
 
 
@@ -318,8 +308,8 @@ class IdealK:
 
     m: int
     rows: tuple
-    gen_a: Fraction
-    gen_b: Fraction
+    gen_a: int
+    gen_b: int
 
     @property
     def norm(self) -> int:
@@ -329,8 +319,6 @@ class IdealK:
         return FieldElement(field, self.gen_a, self.gen_b)
 
     def contains(self, x: FieldElement) -> bool:
-        if not x.is_integral():
-            return False
         return in_lattice([x.a, x.b], [list(r) for r in self.rows])
 
     def __str__(self):
@@ -338,9 +326,9 @@ class IdealK:
 
 
 def ideal_of_element(x: FieldElement) -> IdealK:
-    """Principal ideal (x); x must be a nonzero integral element."""
-    if not x.is_integral() or (x.a == 0 and x.b == 0):
-        raise ValueError("need a nonzero integral element")
+    """Principal ideal (x); x must be nonzero."""
+    if x.a == 0 and x.b == 0:
+        raise ValueError("need a nonzero element")
     rows = hnf(k_module_rows(x.field, [(x.a, x.b)]))
     return IdealK(x.field.m, tuple(tuple(r) for r in rows), x.a, x.b)
 
@@ -381,11 +369,6 @@ class BaseField:
     def elt(self, a, b=0) -> FieldElement:
         return FieldElement(self, a, b)
 
-    def from_sqrt_coords(self, p, q) -> FieldElement:
-        if self._half_basis:
-            return FieldElement(self, p - q, 2 * q)
-        return FieldElement(self, p, q)
-
     def one(self) -> FieldElement:
         return FieldElement(self, 1, 0)
 
@@ -418,7 +401,7 @@ class BaseField:
                 if t > 0:
                     x = math.isqrt(t)
                     if x * x == t:
-                        return self.from_sqrt_coords(Fraction(x, 2), Fraction(y, 2))
+                        return self._from_xy(x, y)
             y += 1
         raise ArithmeticError(f"fundamental unit search exhausted for m={m}")
 
@@ -529,7 +512,7 @@ class BaseField:
         return math.isqrt(n * num // den)
 
     def _xy(self, x: FieldElement):
-        """Integers (X, Y) with x = (X + Y*sqrt(m))/c, for integral x."""
+        """Integers (X, Y) with x = (X + Y*sqrt(m))/c."""
         a, b = x.a, x.b
         return (2 * a + b, b) if self._half_basis else (a, b)
 
@@ -571,16 +554,14 @@ class BaseField:
 
     def canonical_associate(self, x: FieldElement) -> FieldElement:
         """Associate of x with iota_0 > 0 and iota_0 in [sqrt|N|, sqrt|N|*eps),
-        for integral x, by exact integer steps."""
+        by exact integer steps."""
         return self.unit_reduce(x)[1]
 
     def unit_reduce(self, x: FieldElement):
-        """(k, c) with x = +-eps^k * c and c = canonical_associate(x), for
-        integral x: the one loop that steps by powers of eps."""
+        """(k, c) with x = +-eps^k * c and c = canonical_associate(x): the
+        one loop that steps by powers of eps."""
         if x.a == 0 and x.b == 0:
             return 0, x
-        if not x.is_integral():
-            raise ValueError("canonical_associate needs an integral element")
         X, Y = self._xy(x)
         if x.sign(0) < 0:
             X, Y = -X, -Y
@@ -615,7 +596,7 @@ class BaseField:
 
 def _lattice_conj(field: BaseField, rows):
     """Row lattice of the conjugate module."""
-    return hnf([[a + field._trace_w * b, -b] for a, b in rows])
+    return hnf([list(kconj(field, r)) for r in rows])
 
 
 def _lattice_product(field: BaseField, rows_a, rows_b):
@@ -781,7 +762,7 @@ def _find_prime_elements(field: BaseField, ell: int):
 
 
 def valuation(x: FieldElement, pi: FieldElement):
-    """(v, x / pi^v) with v the valuation of the integral x at the prime (pi)."""
+    """(v, x / pi^v) with v the valuation of x at the prime (pi)."""
     K = x.field
     xy, p = (x.a, x.b), (pi.a, pi.b)
     v = 0
@@ -798,8 +779,8 @@ def factor_element(x: FieldElement):
     field = x.field
     if field.h_K != 1:
         raise ScopeError("element factorization requires h_K = 1")
-    if not x.is_integral() or (x.a == 0 and x.b == 0):
-        raise ValueError("need nonzero integral element")
+    if x.a == 0 and x.b == 0:
+        raise ValueError("need a nonzero element")
     key = (x.a, x.b)
     if key not in field._factor_cache:
         fac = []
@@ -832,7 +813,6 @@ def square_divisor_splits(D: FieldElement):
         if i == len(fac):
             f_elt = f_acc
             d_elt = D / (f_elt * f_elt)
-            assert d_elt.is_integral()
             splits.append((ideal_of_element(d_elt), ideal_of_element(f_elt)))
             return
         pi, e = fac[i]

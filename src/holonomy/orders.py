@@ -44,6 +44,7 @@ from .fields import (
     kdiv_exact,
     kmul,
     knorm,
+    quotient,
     square_divisor_splits,
     valuation,
 )
@@ -71,63 +72,65 @@ class SearchExhausted(Inconclusive):
 # squares in K
 
 
-def sqrt_fraction(x: Fraction):
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def sqrt_in_K(x: FieldElement):
-    """Exact square root of x in K, or None."""
+    """The root (U + V*sqrt(m))/c of x = (X + Y*sqrt(m))/c in O_K with
+    U > 0, or U = 0 <= V; None when x is not a square (c = 2 if m = 1 mod 4,
+    else 1). Squaring gives U^2 + m*V^2 = c*X and 2*U*V = c*Y, so with
+    n^2 = X^2 - m*Y^2, U^2 = c*(X +- n)/2, and V = c*Y/(2*U), or V^2 = c*X/m
+    when U = 0: exact integer roots and quotients, since a root in K is
+    integral."""
     K = x.field
-    p, q = x.sqrt_coords()
-    nrm = sqrt_fraction(p * p - q * q * K.m)
-    if nrm is None:
+    X, Y = K._xy(x)
+    c = 2 if K._half_basis else 1
+    n = _isqrt_exact(X * X - K.m * Y * Y)
+    if n is None:
         return None
-    for s in (nrm, -nrm):
-        u = sqrt_fraction(Fraction(p + s, 2))
-        if u is None:
+    for s in (n, -n):
+        t, odd = divmod(c * (X + s), 2)
+        U = None if odd else _isqrt_exact(t)
+        if U is None:
             continue
-        if u == 0:
-            if q != 0:
-                continue
-            v2 = sqrt_fraction(Fraction(p, K.m)) if p != 0 else 0
-            if v2 is None:
-                continue
-            cand = K.from_sqrt_coords(0, v2)
+        if U:
+            V, r = divmod(c * Y, 2 * U)
         else:
-            cand = K.from_sqrt_coords(u, Fraction(q, 2 * u))
-        if cand * cand == x:
-            return cand
-        if (-cand) * (-cand) == x:
-            return -cand
+            V2, r = divmod(c * X, K.m)
+            V = None if Y or r else _isqrt_exact(V2)
+        if V is not None and not r:
+            return K._from_xy(U, V)
     return None
+
+
+def _isqrt_exact(n: int):
+    """The square root of n when n is a perfect square, else None."""
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def canonical_square_class(D: FieldElement) -> FieldElement:
     """Canonical representative of D modulo squares of K^*.
 
-    Squarefree ideal kernel times the unique unit class in {1,-1,eps,-eps}
-    making the quotient a square. A nonzero square is totally positive, so
-    only a candidate with D's sign at both places is divided and tested.
+    From the factorisation, D = u * g * s^2: g is the canonical associate of
+    the product of the primes with odd exponent, s the product of the rest
+    at half their exponent, and the unit u = +-eps^k, the sign that of
+    iota_0(u). The representative is +-eps^(k mod 2) * g: D divided by it is
+    the square (eps^(k // 2) * s)^2, and no two of 1, -1, eps, -eps differ
+    by a square.
     """
     K = D.field
     _, fac = factor_element(D)
-    g = K.one()
+    g = s = K.one()
     for pi, e in fac:
         if e % 2:
             g = g * pi
-    g = K.canonical_associate(g) if (g.a, g.b) != (1, 0) else K.one()
-    signs = (D.sign(0), D.sign(1))
-    for u in (K.one(), -K.one(), K.eps, -K.eps):
-        cand = u * g
-        if (cand.sign(0), cand.sign(1)) == signs and sqrt_in_K(D / cand) is not None:
-            return cand
-    raise AssertionError("no unit class matched the square kernel")
+        s = s * pi ** (e // 2)
+    g = K.canonical_associate(g)
+    u = D / (g * s * s)
+    k, one = K.unit_reduce(u)
+    assert one == 1, f"not a unit: {u}"
+    cls = K.eps * g if k % 2 else g
+    return cls if u.sign(0) > 0 else -cls
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,7 @@ def _parity_basis(K: BaseField, dred4: tuple):
 class LatticeSpec:
     """Arithmetic lattice data: finite ramification set and r_A = #Ram_inf.
 
-    ram_f entries are prime ideals of O_K (IdealK).
+    ram_f entries are distinct prime ideals of O_K (IdealK).
     """
 
     field_m: int
@@ -185,6 +188,8 @@ class LatticeSpec:
     def __post_init__(self):
         if (len(self.ram_f) + self.r_A) % 2 != 0:
             raise ValueError("ramification set must have even size (finite + infinite)")
+        if len({p.rows for p in self.ram_f}) != len(self.ram_f):
+            raise ValueError("ramified finite primes must be distinct")
 
     @staticmethod
     def hilbert(field: BaseField) -> "LatticeSpec":
@@ -213,8 +218,8 @@ class RelativeQuadraticOrder:
             if f_ideal is None:
                 raise ValueError("d does not satisfy d || (D)")
         self.f_elt = f_ideal.generator(field)
-        self.Dred = D / (self.f_elt * self.f_elt)
-        if not self.Dred.is_integral() or ideal_of_element(self.Dred).rows != d_ideal.rows:
+        self.Dred = quotient(D, self.f_elt * self.f_elt)
+        if self.Dred is None or ideal_of_element(self.Dred).rows != d_ideal.rows:
             raise ValueError("d does not satisfy d || (D) with the given f")
         self._canonicalize_dred()
         s0, s1 = self.Dred.sign(0), self.Dred.sign(1)
@@ -235,7 +240,7 @@ class RelativeQuadraticOrder:
         K = self.field
         j = K.unit_reduce(self.Dred)[0] // 2
         x, f = self.Dred / K.eps ** (2 * j), self.f_elt * K.eps ** j
-        assert f * f * x == self.D and x.is_integral() and f.is_integral()
+        assert f * f * x == self.D
         self.Dred, self.f_elt = x, f
 
     # -- structure ---------------------------------------------------------
@@ -302,9 +307,9 @@ class RelativeQuadraticOrder:
     def from_sqrt_form(self, a: FieldElement, b: FieldElement):
         """Element (a + b sqrt(Dred))/2 in xi coordinates, or None if not in O."""
         # (a + b r)/2 = u + v xi with v = b/xi_b, u = (a - v xi_a)/2
-        v = b / self.xi_b
-        u = (a - v * self.xi_a) / 2
-        if not (u.is_integral() and v.is_integral()):
+        v = quotient(b, self.xi_b)
+        u = None if v is None else quotient(a - v * self.xi_a, 2)
+        if u is None:
             return None
         return (u.a, u.b, v.a, v.b)
 
@@ -379,8 +384,9 @@ def relative_fundamental_unit(order: RelativeQuadraticOrder, iota0_cap: float = 
     while T <= 4 * iota0_cap:
         cands = _trace_candidates(K, T, T_prev)
         for a in cands:
-            kappa = (a * a - 4) / order.Dred
-            b = sqrt_in_K(kappa)
+            # a root b in K is integral, so a kappa outside O_K has none
+            kappa = quotient(a * a - 4, order.Dred)
+            b = None if kappa is None else sqrt_in_K(kappa)
             if b is None:
                 continue
             x = order.from_sqrt_form(a, b)

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,8 +59,9 @@ from holonomy.spectrum import (
 from holonomy.measure import TrigFunction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-CACHE_PATH = os.path.join(HERE, "..", "data", "order_cache.jsonl")
-TABLE10_PATH = os.path.join(HERE, "..", "data", "spectrum_m2_x10.csv")
+DATA = os.path.join(HERE, "..", "data")
+CACHE_PATH = os.path.join(DATA, "order_cache.jsonl")
+TABLE10_PATH = os.path.join(DATA, "spectrum_m2_x10.csv")
 PI = math.pi
 
 K2 = make_field(2)
@@ -233,6 +235,21 @@ def test_table10_csv_byte_identical(table10):
     """The warm-cache build reproduces the shipped cutoff-10 table exactly."""
     with open(TABLE10_PATH, "rb") as fh:
         assert table_to_csv(table10).encode() == fh.read()
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_golden_table_warm_build_byte_identical(m, tmp_path):
+    """A warm build through a copy of the shipped x=8 cache of Q(sqrt 3)
+    (unit of norm +1) or Q(sqrt 5) (half basis) reproduces the shipped table
+    byte for byte, every row certified, and appends nothing to the copy."""
+    cache = Path(DATA, f"order_cache_m{m}_x8.jsonl")
+    path = tmp_path / cache.name
+    shutil.copyfile(cache, path)
+    K = make_field(m)
+    table = length_spectrum(K, 8.0, LatticeSpec.hilbert(K), OrderCache(str(path)))
+    assert table_to_csv(table).encode() == Path(DATA, f"spectrum_m{m}_x8.csv").read_bytes()
+    assert all(r.certified for r in table.rows)
+    assert path.read_bytes() == cache.read_bytes()
 
 
 def test_criterion_6_narrow_class_criterion():

@@ -18,6 +18,7 @@ from holonomy.fields import (
     make_field,
     parse_element,
     prime_elements_above,
+    quotient,
     sign_data,
     square_divisor_splits,
     totally_positive_units_are_squares,
@@ -143,17 +144,23 @@ class TestElementArithmetic:
 
     def test_sign_decisions_exact(self):
         K = make_field(2)
-        # 1393/985 is a continued-fraction convergent, very close to sqrt(2)
-        x = K.elt(Fraction(-1393, 985), 1)
+        # 1393/985 is a continued-fraction convergent, very close to sqrt(2):
+        # x = 985*sqrt(2) - 1393 has |x| < 10^-3 and N(x) = 1
+        x = K.elt(-1393, 985)
         assert x.sign(0) == (1 if 985 * 985 * 2 > 1393 * 1393 else -1)
+        assert x.sign(1) == -1 and x.norm() == 1393 * 1393 - 2 * 985 * 985
 
     @settings(max_examples=100, deadline=None)
-    @given(a=st.fractions(min_value=-50, max_value=50),
-           b=st.fractions(min_value=-50, max_value=50))
-    def test_format_parse_roundtrip(self, a, b):
-        K = make_field(5)
+    @given(m=st.sampled_from([2, 5]), a=st.integers(-10**6, 10**6), b=st.integers(-10**6, 10**6))
+    def test_format_parse_roundtrip(self, m, a, b):
+        K = make_field(m)
         x = K.elt(a, b)
         assert parse_element(K, format_element(x)) == x
+
+    @pytest.mark.parametrize("text", ["1/2", "2.5", "x", "1+w/2", "1/2*w", "3*v", "", "+", "1e3"])
+    def test_parse_rejects_non_integral_coordinates(self, text):
+        with pytest.raises(ValueError, match="a\\+b\\*w with integers a and b"):
+            parse_element(make_field(2), text)
 
 
 class TestSignData:
@@ -383,7 +390,8 @@ class TestElementsUpToNorm:
 
 
 class TestIntegerPairs:
-    """kmul, knorm, kdiv_exact and k_module_rows against FieldElement."""
+    """kmul, knorm, kdiv_exact and k_module_rows against FieldElement, and
+    exact division against the Fraction oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.sampled_from([2, 3, 5, 13, 17]), x=st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
@@ -397,10 +405,21 @@ class TestIntegerPairs:
         assert kmul(K, x, y) == (p.a, p.b)
         assert knorm(K, x) == ex.norm()
         if y == (0, 0):
-            assert kdiv_exact(K, x, y) is None
+            assert kdiv_exact(K, x, y) is None and quotient(ex, ey) is None
+            with pytest.raises(ZeroDivisionError):
+                ex / ey
             return
-        q = ex / ey
-        assert kdiv_exact(K, x, y) == ((q.a, q.b) if q.is_integral() else None)
+        # kdiv_exact, quotient and / against the division of K: equal when
+        # the quotient is integral, else None or ArithmeticError
+        for d, ed in ((y, ey), ((y[0] or 1, 0), y[0] or 1)):
+            q = FractionElement(K, *x) / FractionElement(K, *d)
+            if q.a.denominator == 1 and q.b.denominator == 1:
+                assert kdiv_exact(K, x, d) == (q.a, q.b)
+                assert ex / ed == quotient(ex, ed) == K.elt(int(q.a), int(q.b))
+            else:
+                assert kdiv_exact(K, x, d) is None and quotient(ex, ed) is None
+                with pytest.raises(ArithmeticError, match="does not divide"):
+                    ex / ed
         xw, yw = ex * K.w(), ey * K.w()
         assert k_module_rows(K, [x, y]) == [list(x), [xw.a, xw.b], list(y), [yw.a, yw.b]]
 
@@ -448,8 +467,9 @@ class TestPrimeElements:
 
 
 class FractionElement:
-    """The Fraction-only element type that int-valued coordinates replaced,
-    kept as their oracle: the same formulas, every coordinate a Fraction."""
+    """The Fraction-only element type that int coordinates replaced, kept as
+    their oracle: the same formulas, every coordinate a Fraction, and /
+    the division of K."""
 
     def __init__(self, K, a, b):
         self.K, self.a, self.b = K, Fraction(a), Fraction(b)
@@ -527,59 +547,55 @@ class FractionElement:
         return float((p + q * lo_s + p + q * hi_s) / 2)
 
 
-def exact_coord(x):
-    """An int, or a Fraction that is not an integer; never a float."""
-    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
-
-
-coords = st.one_of(st.integers(-60, 60), st.fractions(min_value=-60, max_value=60, max_denominator=12))
-
-
 class TestIntCoordinates:
     @settings(max_examples=300, deadline=None)
-    @given(m=st.sampled_from([2, 3, 5, 13, 17]), a=coords, b=coords, c=coords, d=coords,
-           k=st.integers(-3, 4))
+    @given(m=st.sampled_from([2, 3, 5, 13, 17]), a=st.integers(-60, 60), b=st.integers(-60, 60),
+           c=st.integers(-60, 60), d=st.integers(-60, 60), k=st.integers(-3, 4))
     def test_matches_fraction_only_elements(self, m, a, b, c, d, k):
         K = make_field(m)
         x, y = K.elt(a, b), K.elt(c, d)
         xo, yo = FractionElement(K, a, b), FractionElement(K, c, d)
         pairs = [(x + y, xo + yo), (x - y, xo - yo), (x * y, xo * yo), (-x, -xo),
                  (x.conj(), xo.conj()), (x + 3, xo + 3), (x * 2, xo * 2)]
-        if yo.norm() != 0:
-            pairs.append((x / y, xo / yo))
-        if xo.norm() != 0 or k >= 0:
+        if abs(xo.norm()) == 1 or k >= 0:
             pairs.append((x ** k, xo ** k))
         for got, want in pairs:
             assert (got.a, got.b) == (want.a, want.b)
-            assert exact_coord(got.a) and exact_coord(got.b)
-            assert got == K.elt(want.a, want.b)
+            assert type(got.a) is int and type(got.b) is int
+            assert got == K.elt(int(want.a), int(want.b))
             assert hash(got) == hash((m, want.a, want.b))
             for place in (0, 1):
                 assert got.sign(place) == want.sign(place)
                 assert got.approx(place) == want.approx(place)
             assert got.sqrt_coords() == want.sqrt_coords()
-            assert all(exact_coord(v) for v in got.sqrt_coords())
         for got, want in ((x.norm(), xo.norm()), ((x + x.conj()).a, xo.trace())):
-            assert got == want and exact_coord(got)
+            assert got == want and type(got) is int
         assert (x == c) == (xo.b == 0 and xo.a == c)
+        if k < 0 and abs(xo.norm()) != 1:
+            with pytest.raises(ArithmeticError):
+                x ** k
 
     def test_integral_elements_have_int_coordinates(self):
         for m in (2, 5):
             K = make_field(m)
-            x = K.elt(Fraction(6, 3), Fraction(-4, 2))
-            assert type(x.a) is int and type(x.b) is int and x.is_integral()
+            x = K.elt(2, -2)
             assert all(type(c) is int for c in K._w2) and type(K._trace_w) is int
             assert type(K.eps.a) is int and type(K.eps.b) is int
-            assert type((x / K.eps).a) is int
-            half = x / 4
-            assert type(half.a) is Fraction and not half.is_integral()
+            for y in (x / K.eps, x / 2, x * K.eps ** -3, x.conj(), -x):
+                assert type(y.a) is int and type(y.b) is int
+            with pytest.raises(ArithmeticError):
+                x / 4
 
     @pytest.mark.parametrize("make", [
         lambda K: K.elt(0.5),
         lambda K: K.elt(1, 0.25),
         lambda K: K.elt(1, 1) + 0.5,
         lambda K: K.elt(1, 1) * 2.0,
-        lambda K: K.from_sqrt_coords(0.5, 0),
+        lambda K: K.elt(Fraction(4, 2)),
+        lambda K: K.elt(1, Fraction(1, 2)),
+        lambda K: K.elt(1, 1) - Fraction(1, 3),
+        lambda K: K.elt(True),
+        lambda K: K.elt("1"),
     ])
     def test_float_coordinate_rejected(self, make):
         with pytest.raises(TypeError):

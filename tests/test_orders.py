@@ -433,8 +433,7 @@ def per_order_basis(K, Dr, d_ideal):
             a0 = a
             break
     assert a0 is not None
-    q = (bg * bg * Dr - a0 * a0) / 4
-    assert q.is_integral()
+    q = (bg * bg * Dr - a0 * a0) / 4  # exact: ArithmeticError unless 4 divides
     realized_disc = ideal_of_element(bg * bg * Dr)
     xi_rows = [[2, 0, 0, 0], [0, 2, 0, 0], [a0.a, a0.b, bg.a, bg.b]]
     wxi = (K.w() * a0, K.w() * bg)
@@ -456,9 +455,45 @@ def order_basis(O):
     }
 
 
+def sqrt_fraction(x: Fraction):
+    """The square root of a nonnegative rational square, else None."""
+    if x < 0:
+        return None
+    n, d = x.numerator, x.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def fraction_sqrt_in_K(x):
+    """The square root of x in K on rational square roots, as sqrt_in_K
+    computed it before it ran on integers, kept as its oracle: the root
+    u + v*sqrt(m) as Fractions (u, v), with u > 0 or u = 0 <= v, or None."""
+    m = x.field.m
+    p, q = (Fraction(c) for c in x.sqrt_coords())
+    nrm = sqrt_fraction(p * p - q * q * m)
+    if nrm is None:
+        return None
+    for s in (nrm, -nrm):
+        u = sqrt_fraction((p + s) / 2)
+        if u is None:
+            continue
+        if u == 0:
+            v = sqrt_fraction(p / m) if q == 0 else None
+            if v is None:
+                continue
+        else:
+            v = q / (2 * u)
+        if (u * u + m * v * v, 2 * u * v) == (p, q):
+            return (u, v)
+    return None
+
+
 def unguarded_canonical_square_class(D):
-    """canonical_square_class before its sign guard, kept as its oracle: a
-    square root is tried for every unit class."""
+    """canonical_square_class by trial division, kept as its oracle: the
+    square kernel g from the factorisation times the first unit class in
+    {1, -1, eps, -eps} whose quotient of D has a rational square root."""
     K = D.field
     _, fac = factor_element(D)
     g = K.one()
@@ -468,14 +503,14 @@ def unguarded_canonical_square_class(D):
     g = K.canonical_associate(g) if (g.a, g.b) != (1, 0) else K.one()
     for u in (K.one(), -K.one(), K.eps, -K.eps):
         cand = u * g
-        if sqrt_in_K(D / cand) is not None:
+        if fraction_sqrt_in_K(D / cand) is not None:
             return cand
     raise AssertionError("no unit class matched the square kernel")
 
 
 def unguarded_is_square(D):
-    """The constructor's square check before its sign guard, kept as its oracle."""
-    return sqrt_in_K(D) is not None
+    """The constructor's square check before its sign guard, on the oracle root."""
+    return fraction_sqrt_in_K(D) is not None
 
 
 def record_cold_x5(d, patches):
@@ -719,6 +754,24 @@ class TestSqrtInK:
         s = sqrt_in_K(K2.elt(8))
         assert s is not None and s * s == K2.elt(8)
 
+    @settings(max_examples=400, deadline=None)
+    @given(m=st.sampled_from([2, 3, 5, 13, 17]), a=st.integers(-300, 300), b=st.integers(-150, 150),
+           square=st.booleans(), u=st.integers(0, 3))
+    def test_integer_roots_match_rational_roots(self, m, a, b, square, u):
+        """sqrt_in_K and canonical_square_class equal their rational
+        trial-division oracles, root sign convention included."""
+        K = make_field(m)
+        x = K.elt(a, b)
+        if square:
+            x = (K.one(), -K.one(), K.eps, -K.eps)[u] * x * x
+        want = fraction_sqrt_in_K(x)
+        got = sqrt_in_K(x)
+        assert (None if got is None else got.sqrt_coords()) == want
+        if got is not None:
+            assert got * got == x
+        if x != 0:
+            assert canonical_square_class(x) == unguarded_canonical_square_class(x)
+
 
 class TestBuildOrder:
     def test_signature_hyperbolic_elliptic(self):
@@ -773,9 +826,12 @@ class TestBuildOrder:
                 xi = (0, 0, 1, 0)
                 w_elt = (0, 1, 0, 0)
                 for x in (xi, O.mul(xi, xi), O.mul(xi, w_elt)):
-                    nr = O.rel_norm(x)
-                    tr = O.rel_trace(x)
-                    assert nr.is_integral() and tr.is_integral()
+                    # x = (a + b sqrt(Dred))/2 re-expands in the order, with
+                    # trace a and norm (a^2 - b^2 Dred)/4 in O_K
+                    a, b = O.to_sqrt_form(x)
+                    assert O.from_sqrt_form(a, b) == x
+                    assert O.rel_trace(x) == a
+                    assert 4 * O.rel_norm(x) == a * a - b * b * O.Dred
 
     def test_non_realizable_split_flagged(self):
         t = K2.elt(2, 1)
@@ -985,7 +1041,7 @@ class TestLocalData:
                 break
         assert found is not None
         O = build_order(K2, Dred, ideal_of_element(Dred))
-        spec = LatticeSpec(2, (ideal_of_element(found), ideal_of_element(found)), 0)
+        spec = LatticeSpec(2, (ideal_of_element(found), ideal_of_element(K2.elt(0, 1))), 0)
         assert local_embedding_factor(O, ideal_of_element(found), spec) == 0
 
     def test_local_factor_table(self):
@@ -993,8 +1049,9 @@ class TestLocalData:
         Dred = K2.elt(-1, 2)
         O = build_order(K2, Dred, ideal_of_element(Dred))
         vals = {}
+        # the two primes above 7: one ramified, one inert in K(sqrt(Dred))
+        spec = LatticeSpec(2, tuple(ideal_of_element(pg) for pg in prime_elements_above(K2, 7)), 0)
         for pg in prime_elements_above(K2, 7):
-            spec = LatticeSpec(2, (ideal_of_element(pg), ideal_of_element(pg)), 0)
             vals[local_splitting(K2, pg, Dred)] = local_embedding_factor(
                 O, ideal_of_element(pg), spec)
         assert vals == {"ramified": 1, "inert": 2}
@@ -1184,6 +1241,14 @@ class TestArithmeticCache:
             LatticeSpec(2, (ideal_of_element(K2.elt(0, 1)),), 0)
         LatticeSpec(2, (), 2)  # even: fine
 
+    def test_lattice_spec_rejects_a_repeated_prime(self):
+        p, q = (ideal_of_element(pg) for pg in prime_elements_above(K2, 7))
+        LatticeSpec(2, (p, q), 0)
+        # the same prime twice, also with another generator of it
+        for pair in ((p, p), (p, ideal_of_element(-K2.eps * p.generator(K2)))):
+            with pytest.raises(ValueError, match="must be distinct"):
+                LatticeSpec(2, pair, 0)
+
 
 RESIDUES = list(product(range(4), repeat=2))
 
@@ -1348,8 +1413,8 @@ class TestParityTable:
         for D in self._square_samples(K):
             seen.clear()
             canonical_square_class(D)
-            # one matching unit class when N(eps) = -1, two when eps >> 0
-            assert 1 <= len(seen) <= (1 if K.eps_norm == -1 else 2), D
+            # the square class is read off the factorisation: no root is taken
+            assert not seen, D
             try:
                 build_order(K, D, ideal_of_element(D), ideal_of_element(K.one()))
             except ValueError:
