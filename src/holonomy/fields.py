@@ -15,6 +15,7 @@ numerics but carry rigorous widths.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -271,31 +272,19 @@ def format_element(x: FieldElement) -> str:
     return f"{a}{bpart}" if b < 0 else f"{a}+{bpart}"
 
 
+# one optional integer a, then one optional b*w term (signed when a is there)
+_ELEMENT = re.compile(r"(?:([+-]?\d+)\s*(?=[+-]|$))?(?:([+-]?)\s*(?:(\d+)\s*\*?\s*)?(w))?", re.ASCII)
+
+
 def parse_element(field: "BaseField", text: str) -> FieldElement:
-    """Parse the canonical a+b*w form (whitespace tolerated), with integer
-    a and b; anything else raises ValueError."""
-    s = text.replace(" ", "").replace("*w", "w")
-    # split into signed terms
-    terms = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    a = b = 0
-    try:
-        for t in terms:
-            if t.endswith("w"):
-                coef = t[:-1]
-                b += 1 if coef in ("", "+") else (-1 if coef == "-" else int(coef))
-            else:
-                a += int(t)
-    except ValueError:
-        raise ValueError(f"{text!r} is not an element a+b*w with integers a and b") from None
-    return FieldElement(field, a, b)
+    """Parse the a+b*w form that format_element writes: one optional integer
+    a and one optional b*w term, in ASCII digits, with spaces between the
+    terms and the * optional; anything else raises ValueError."""
+    m = _ELEMENT.fullmatch(text.strip())
+    if m is None or m.group(1) is None and m.group(4) is None:
+        raise ValueError(f"{text!r} is not an element a+b*w with integers a and b")
+    a, sign, b, w = m.groups()
+    return FieldElement(field, int(a or 0), int(sign + (b or "1")) if w else 0)
 
 
 @dataclass(frozen=True)
@@ -351,7 +340,6 @@ class BaseField:
             self._w2 = (m, 0)
             self._trace_w = 0
         self._sqrt_cache: dict[int, tuple[Fraction, Fraction]] = {}
-        self._gen_cache: dict = {}
         self._prime_cache: dict[int, list] = {}
         self._factor_cache: dict[tuple, tuple] = {}
         self._norm_table: tuple[int, dict] | None = None
@@ -582,16 +570,10 @@ class BaseField:
         """Generator of the row lattice if it is a principal ideal, else None."""
         H = hnf([list(r) for r in rows])
         key = tuple(tuple(r) for r in H)
-        if key in self._gen_cache:
-            return self._gen_cache[key]
-        result = None
         for cand in self.elements_of_norm(pivot_product(H), H):
-            ci = ideal_of_element(cand)
-            if ci.rows == key:
-                result = cand
-                break
-        self._gen_cache[key] = result
-        return result
+            if ideal_of_element(cand).rows == key:
+                return cand
+        return None
 
 
 def _lattice_conj(field: BaseField, rows):

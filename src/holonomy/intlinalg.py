@@ -1,6 +1,6 @@
 """Small exact linear algebra over Z used by the ideal and order machinery.
 
-Lattices are stored as lists of row vectors (Python ints or Fractions).
+Lattices are stored as lists of integer row vectors.
 Everything here is dimension-4-or-less and exact; no floating point.
 """
 
@@ -71,7 +71,7 @@ def pivot_product(hnf_rows) -> int:
 
 
 def in_lattice(vec, hnf_rows):
-    """Exact membership of an integer/rational vector in the row lattice."""
+    """Exact membership of an integer vector in the row lattice."""
     v = list(vec)
     n = len(v)
     for r in hnf_rows:

@@ -37,6 +37,8 @@ from .fields import (
     FieldElement,
     IdealK,
     ScopeError,
+    _factorint,
+    _kronecker,
     factor_element,
     format_element,
     ideal_of_element,
@@ -44,6 +46,7 @@ from .fields import (
     kdiv_exact,
     kmul,
     knorm,
+    make_field,
     quotient,
     square_divisor_splits,
     valuation,
@@ -174,6 +177,16 @@ def _parity_basis(K: BaseField, dred4: tuple):
     return rows2, bg, a0
 
 
+def _is_prime_ideal(p: IdealK, m: int) -> bool:
+    """p is a prime ideal of Q(sqrt(m)): of prime norm, or of norm l^2 for a
+    rational prime l inert in it (then p = (l))."""
+    fac = _factorint(p.norm)
+    if p.m != m or len(fac) != 1:
+        return False
+    ((ell, e),) = fac.items()
+    return e == 1 or e == 2 and _kronecker(make_field(m).disc, ell) == -1
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Arithmetic lattice data: finite ramification set and r_A = #Ram_inf.
@@ -190,6 +203,10 @@ class LatticeSpec:
             raise ValueError("ramification set must have even size (finite + infinite)")
         if len({p.rows for p in self.ram_f}) != len(self.ram_f):
             raise ValueError("ramified finite primes must be distinct")
+        for p in self.ram_f:
+            if not _is_prime_ideal(p, self.field_m):
+                raise ValueError(f"ramified finite prime {p} is not a prime ideal of "
+                                 f"Q(sqrt({self.field_m}))")
 
     @staticmethod
     def hilbert(field: BaseField) -> "LatticeSpec":
@@ -732,31 +749,6 @@ def _scale_rows(order, rows, x):
     return [list(order.mul(x, r)) for r in rows]
 
 
-def _k_content_and_primitive(order, rows):
-    """Largest c in O_K with rows = c * rows'; returns (c, HNF of rows').
-
-    The content ideal holds N(e) = e * conj(e) for each O_K-entry e, so when
-    those norms are coprime the content is 1 and no HNF of it is needed.
-    """
-    K = order.field
-    gens = [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]
-    if math.gcd(*(knorm(K, g) for g in gens)) == 1:
-        return K.one(), hnf(rows)
-    H = hnf(k_module_rows(K, gens))
-    if H == [[1, 0], [0, 1]]:
-        return K.one(), hnf(rows)
-    c = K.principal_generator(H)
-    assert c is not None
-    ci = (c.a, c.b)
-    prim = []
-    for r in rows:
-        u = kdiv_exact(K, (r[0], r[1]), ci)
-        v = kdiv_exact(K, (r[2], r[3]), ci)
-        assert u is not None and v is not None
-        prim.append([u[0], u[1], v[0], v[1]])
-    return c, hnf(prim)
-
-
 @dataclass
 class ClassNumberResult:
     h: int
@@ -827,22 +819,17 @@ def _class_count_at(order, units, B: int, cands, top: int, searches: dict,
 
 def _class_set(order, units, key, a, B: int, restrict_to, top: int, searches: dict,
                budget: int = 6_000_000):
-    """All candidate keys equivalent to the ideal `key` = O_K a + O_K (b + xi)
-    (norm <= B).
+    """The keys in `restrict_to` of the ideals equivalent to the ideal `key` =
+    J = O_K a + O_K (b + xi), read off the generator search of J (see
+    _generator_keys).
 
-    Every primitive ideal I ~ J of norm n2 <= B equals lam * J for a
-    generator lam in J^{-1} with |N(lam)| = n2/N(J). Writing lam = y/N(J)
-    with y in the integral inverse-scaled lattice, such y have
-    |N(y)| = n2 * N(J)^3 in [N(J)^3, B*N(J)^3]; enumerating that window
-    modulo units and taking K-primitive parts of y*J recovers the class.
-
-    The window is enumerated once per seed, up to bound `top` >= B (2B in
-    class_number), and the y with |N(y)| <= B*N(J)^3 are kept: a unit
-    multiple of y has the same norm and the same key, so every unit orbit
-    the bound-B window holds is in that list. If the top search is
-    inconclusive (its box exceeds budget), the seed is searched at B itself.
+    The search runs once per seed, at bound `top` >= B (2B in class_number),
+    and is shared through `searches`. It reaches every integral I ~ J of norm
+    <= top, so every candidate of norm <= B; intersecting with `restrict_to`
+    (the candidates of norm <= B) drops the ideals of larger norm and the
+    non-primitive ones. If the top search is inconclusive (its box exceeds
+    budget), the seed is searched at B itself.
     """
-    nmax = B * pivot_product(key) ** 3
     for bound in (top, B) if top > B else (top,):
         if (key, bound) not in searches:
             try:
@@ -851,24 +838,26 @@ def _class_set(order, units, key, a, B: int, restrict_to, top: int, searches: di
                 searches[key, bound] = e
         got = searches[key, bound]
         if not isinstance(got, Inconclusive):
-            return {k2 for k2, ny in got.items() if ny <= nmax and k2 in restrict_to}
+            return got & restrict_to
     raise got
 
 
-def _generator_keys(order, units, key, a, bound: int, budget: int) -> dict:
-    """Key of the K-primitive part of y*J -> least |N(y)|, over the y with
-    |N(y)| in [N(J)^3, bound*N(J)^3] found modulo units
-    (J = key = O_K a + O_K (b + xi))."""
+def _generator_keys(order, units, key, a, bound: int, budget: int) -> set:
+    """Keys HNF(y*J)/n of the integral ideals y*J/n, over the y with |N(y)| in
+    [n^3, bound*n^3] found modulo units (J = key = O_K a + O_K (b + xi),
+    n = [O:J]).
+
+    The y run over n * J^{-1} (see _inverse_lattice), so y*J lies in n*O and
+    the division is exact. J is proper, hence invertible, so every integral
+    I ~ J is lam*J with lam in J^{-1}; y = n*lam then has |N(y)| = n^3 [O:I],
+    and a unit multiple of y gives the same y*J. So every I ~ J of norm
+    <= bound is reached as y*J/n itself, with no K-content to take.
+    """
     rows = [list(r) for r in key]
-    inv_rows, denom = _inverse_lattice(order, rows, a)
-    out: dict = {}
-    for y in enumerate_mod_units(order, inv_rows, denom ** 3, bound * denom ** 3, units,
-                                    budget=budget):
-        _, prim = _k_content_and_primitive(order, _scale_rows(order, rows, y))
-        k2 = tuple(tuple(r) for r in prim)
-        ny = abs(order.abs_norm_int(y))
-        out[k2] = min(ny, out.get(k2, ny))
-    return out
+    inv_rows, n = _inverse_lattice(order, rows, a)
+    return {tuple(tuple(e // n for e in r) for r in hnf(_scale_rows(order, rows, y)))
+            for y in enumerate_mod_units(order, inv_rows, n ** 3, bound * n ** 3, units,
+                                         budget=budget)}
 
 
 # ---------------------------------------------------------------------------

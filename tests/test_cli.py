@@ -148,8 +148,8 @@ class TestCliFlows:
              "missing.cfg"),
             (["stats", "units", "--m", "2", "--T", "0"], "--T must be positive"),
         ]
-        # an element with a coordinate that is not an integer
-        for bad in ("1/2", "2.5", "x", "1+w/2", ""):
+        # an element that is not one integer a and one term b*w
+        for bad in ("1/2", "2.5", "x", "1+w/2", "", "1+2+3", "w+w-w+w", "1_0+w", "+-1", "\u0661+w"):
             cases.append((["oracle", "class-number", "--m", "2", "--D", bad],
                           f"--D: {bad!r} is not an element a+b*w with integers a and b"))
         geometric = ["trace", "geometric", "--in", table, "--weight", "2", "--vol", "1.0", "--testfn"]

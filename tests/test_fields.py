@@ -157,10 +157,18 @@ class TestElementArithmetic:
         x = K.elt(a, b)
         assert parse_element(K, format_element(x)) == x
 
-    @pytest.mark.parametrize("text", ["1/2", "2.5", "x", "1+w/2", "1/2*w", "3*v", "", "+", "1e3"])
+    @pytest.mark.parametrize("text", ["1/2", "2.5", "x", "1+w/2", "1/2*w", "3*v", "", "+", "1e3",
+                                      "1+2+3", "w+w-w+w", "1_0+w", "+-1", "\u0661+w", "*w",
+                                      "w+1", "1 2"])
     def test_parse_rejects_non_integral_coordinates(self, text):
         with pytest.raises(ValueError, match="a\\+b\\*w with integers a and b"):
             parse_element(make_field(2), text)
+
+    @pytest.mark.parametrize("text,a,b", [(" -1+2*w", -1, 2), ("1 + 2 * w", 1, 2), ("3w", 0, 3),
+                                          ("-w", 0, -1), ("+5", 5, 0), ("7-w", 7, -1)])
+    def test_parse_accepts_one_integer_and_one_w_term(self, text, a, b):
+        K = make_field(2)
+        assert parse_element(K, text) == K.elt(a, b)
 
 
 class TestSignData:

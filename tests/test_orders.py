@@ -19,6 +19,7 @@ from holonomy.fields import (
     k_module_rows,
     kdiv_exact,
     kmul,
+    knorm,
     make_field,
     parse_element,
     prime_elements_above,
@@ -39,7 +40,6 @@ from holonomy.orders import (
     _class_set,
     _inverse_lattice,
     _is_residue_square,
-    _k_content_and_primitive,
     _parity_basis,
     _scale_rows,
     _square_mod_pi_power,
@@ -195,27 +195,54 @@ def two_pass_class_set(order, units, key, B, restrict_to, budget=6_000_000):
     found = set()
     for y in enumerate_mod_units(order, inv_rows, denom ** 3, B * denom ** 3, units,
                                     budget=budget):
-        _, prim = _k_content_and_primitive(order, hnf(_scale_rows(order, rows, y)))
+        _, prim = k_content_and_primitive(order, hnf(_scale_rows(order, rows, y)))
         k2 = tuple(tuple(r) for r in prim)
         if k2 in restrict_to:
             found.add(k2)
     return found
 
 
-def hnf_content_and_primitive(order, rows):
-    """The K-content by an HNF of the content ideal for every y, which the
-    coprime-norm test now skips; kept as its oracle."""
+def k_content_and_primitive(order, rows):
+    """Largest c in O_K with rows = c * rows'; returns (c, HNF of rows').
+
+    The class-number oracle keyed each y*J by this K-primitive part before it
+    read the class off y*J/n directly; kept, with content_generator_keys, as
+    its oracle. The content ideal holds N(e) = e * conj(e) for each O_K-entry
+    e, so when those norms are coprime the content is 1.
+    """
     K = order.field
-    H = hnf(k_module_rows(K, [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]))
+    gens = [g for r in rows for g in ((r[0], r[1]), (r[2], r[3]))]
+    if math.gcd(*(knorm(K, g) for g in gens)) == 1:
+        return K.one(), hnf(rows)
+    H = hnf(k_module_rows(K, gens))
     if H == [[1, 0], [0, 1]]:
         return K.one(), hnf(rows)
     c = K.principal_generator(H)
+    assert c is not None
+    ci = (c.a, c.b)
     prim = []
     for r in rows:
-        u = kdiv_exact(K, (r[0], r[1]), (c.a, c.b))
-        v = kdiv_exact(K, (r[2], r[3]), (c.a, c.b))
+        u = kdiv_exact(K, (r[0], r[1]), ci)
+        v = kdiv_exact(K, (r[2], r[3]), ci)
+        assert u is not None and v is not None
         prim.append([u[0], u[1], v[0], v[1]])
     return c, hnf(prim)
+
+
+def content_generator_keys(order, units, key, a, bound, budget):
+    """Key of the K-primitive part of y*J -> least |N(y)|, over the y with
+    |N(y)| in [N(J)^3, bound*N(J)^3] found modulo units: the generator search
+    before the y*J/n keys, kept as their oracle."""
+    rows = [list(r) for r in key]
+    inv_rows, denom = _inverse_lattice(order, rows, a)
+    out = {}
+    for y in enumerate_mod_units(order, inv_rows, denom ** 3, bound * denom ** 3, units,
+                                    budget=budget):
+        _, prim = k_content_and_primitive(order, _scale_rows(order, rows, y))
+        k2 = tuple(tuple(r) for r in prim)
+        ny = abs(order.abs_norm_int(y))
+        out[k2] = min(ny, out.get(k2, ny))
+    return out
 
 
 def nest(x):
@@ -548,37 +575,24 @@ def cold_x5(tmp_path_factory):
     """A cold x=5 build on single unit cells (_BLOCK_POINTS = 0, the tiling
     that the blocks replaced), recording every _cell_scan call (see
     recording_scans), every class_number call with its arguments and result,
-    the arguments of every _k_content_and_primitive call, and every
-    _generator_keys and unit_norm_index call with its arguments and result."""
-    cells, orders, contents, searches, norm_indices = [], [], [], [], []
-    count = holonomy.orders.class_number
-    content = holonomy.orders._k_content_and_primitive
-    keys, index = holonomy.orders._generator_keys, holonomy.orders.unit_norm_index
+    and every _generator_keys and unit_norm_index call with its arguments and
+    result."""
+    cells, orders, searches, norm_indices = [], [], [], []
+    patches = recording_scans(cells)
+    for name, calls in (("class_number", orders), ("_generator_keys", searches),
+                        ("unit_norm_index", norm_indices)):
+        patches[name] = recording(getattr(holonomy.orders, name), calls)
+    record_cold_x5(tmp_path_factory.mktemp("cold_x5"), {"_BLOCK_POINTS": 0, **patches})
+    return cells, orders, searches, norm_indices
 
-    def recording_count(*args):
-        res = count(*args)
-        orders.append((args, res))
-        return res
 
-    def recording_content(order, rows):
-        contents.append((order, rows))
-        return content(order, rows)
-
-    def recording_keys(*args):
-        out = keys(*args)
-        searches.append((args, out))
+def recording(fn, calls):
+    """fn, appending (args, result) to calls on every call."""
+    def wrapper(*args):
+        out = fn(*args)
+        calls.append((args, out))
         return out
-
-    def recording_index(*args):
-        out = index(*args)
-        norm_indices.append((args, out))
-        return out
-
-    record_cold_x5(tmp_path_factory.mktemp("cold_x5"), {
-        "_BLOCK_POINTS": 0, **recording_scans(cells), "class_number": recording_count,
-        "_k_content_and_primitive": recording_content, "_generator_keys": recording_keys,
-        "unit_norm_index": recording_index})
-    return cells, orders, contents, searches, norm_indices
+    return wrapper
 
 
 @pytest.fixture(scope="module")
@@ -641,7 +655,7 @@ class TestClassNumberOracle:
         scans_agree_with_gso_lll(cold_x5_blocks, monkeypatch)
 
     def test_blocks_find_what_single_cells_find(self, cold_x5):
-        _, _, _, searches, norm_indices = cold_x5
+        _, _, searches, norm_indices = cold_x5
         assert len(searches) > 20 and len(norm_indices) == 20
         for args, got in searches:
             assert holonomy.orders._generator_keys(*args) == got
@@ -697,15 +711,37 @@ class TestClassNumberOracle:
                 conjugate_side += a != a.conj()
         assert n_ideals > 100 and conjugate_side > 50
 
-    def test_content_test_matches_hnf_on_every_y(self, cold_x5):
-        _, _, contents, *_ = cold_x5
-        assert len(contents) > 700
-        nontrivial = 0
-        for order, rows in contents:
-            got = _k_content_and_primitive(order, rows)
-            assert got == hnf_content_and_primitive(order, rows)
-            nontrivial += got[0] != 1
-        assert nontrivial > 0
+    def test_generator_keys_match_the_content_oracle(self, cold_x5):
+        # on the candidates, the y*J/n keys are the K-primitive parts, each
+        # first reached at |N(y)| = N(I) * n^3
+        # (J of index n > 1 on two seeds; some y*J/n are not K-primitive)
+        _, _, searches, _ = cold_x5
+        assert len(searches) > 20
+        proper_seeds = non_primitive = 0
+        for args, got in searches:
+            order, _, key, _, bound, _ = args
+            n = pivot_product(key)
+            cands = set(primitive_proper_ideals(order, bound))
+            want = content_generator_keys(*args)
+            assert got & cands == set(want) & cands
+            for k in got & cands:
+                assert pivot_product(k) * n ** 3 == want[k]
+            proper_seeds += n > 1
+            non_primitive += len(got - cands)
+        assert proper_seeds >= 2 and non_primitive > 20
+
+    @pytest.mark.parametrize("m", [3, 5, 13])
+    def test_class_numbers_match_two_passes_on_other_fields(self, m, tmp_path):
+        orders = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holonomy.orders, "class_number", recording(class_number, orders))
+            assert cli_main(["--cache", str(tmp_path / "cache.jsonl"), "enumerate", "--m", str(m),
+                             "--x", "6.5", "--out", str(tmp_path / "x.csv")]) == 0
+        assert len(orders) > 30
+        for (order, units, scale, budget), res in orders:
+            assert res == two_pass_class_number(order, units, scale, budget)
+            tiny = class_number(order, units, scale, 1)
+            assert tiny == two_pass_class_number(order, units, scale, 1)
 
 
 class TestMaximalOrderDisc:
@@ -1240,6 +1276,20 @@ class TestArithmeticCache:
         with pytest.raises(ValueError):
             LatticeSpec(2, (ideal_of_element(K2.elt(0, 1)),), 0)
         LatticeSpec(2, (), 2)  # even: fine
+
+    def test_lattice_spec_rejects_what_is_not_a_prime_of_the_field(self):
+        K3 = make_field(3)
+        bad = [(ideal_of_element(K2.elt(6)), ideal_of_element(K2.elt(15))),
+               (ideal_of_element(K2.elt(9)), ideal_of_element(K2.elt(0, 1))),  # 3 inert, 9 not prime
+               (ideal_of_element(K2.elt(7)), ideal_of_element(K2.elt(0, 1))),  # 7 splits in K2
+               (ideal_of_element(K2.elt(2)), ideal_of_element(K2.elt(3))),  # 2 ramifies in K2
+               (ideal_of_element(K3.elt(1, 1)), ideal_of_element(K3.elt(3)))]  # both ideals of Q(sqrt 3)
+        for pair in bad:
+            with pytest.raises(ValueError, match="is not a prime ideal of Q\\(sqrt\\(2\\)\\)"):
+                LatticeSpec(2, pair, 0)
+        LatticeSpec(2, (ideal_of_element(K2.elt(0, 1)), ideal_of_element(K2.elt(3))), 0)
+        LatticeSpec(2, (ideal_of_element(K2.elt(3, 1)), ideal_of_element(K2.elt(3, -1))), 0)
+        LatticeSpec(3, (ideal_of_element(K3.elt(1, 1)), ideal_of_element(K3.elt(0, 1))), 0)
 
     def test_lattice_spec_rejects_a_repeated_prime(self):
         p, q = (ideal_of_element(pg) for pg in prime_elements_above(K2, 7))
