@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .measure import (
     TrigFunction,
     basis_coefficient,
@@ -53,13 +51,18 @@ class TrigPolynomial:
     def coeff(self, k: int) -> complex:
         return self.coeffs.get(k, 0j)
 
-    def eval_grid(self, thetas: np.ndarray) -> np.ndarray:
+    def eval_grid(self, thetas):
+        """Values at a numpy array of angles."""
+        import numpy as np
+
         out = np.zeros_like(thetas, dtype=complex)
         for k, c in self.coeffs.items():
             out += c * np.exp(1j * k * thetas)
         return out.real
 
     def eval(self, theta: float) -> float:
+        import numpy as np
+
         return float(self.eval_grid(np.array([theta]))[0])
 
     def integral(self) -> float:
@@ -90,6 +93,8 @@ def build_majorant(interval, N: int, side: str = MAJORANT) -> TrigPolynomial:
         raise ValueError("degree must be >= 1")
     if side not in (MAJORANT, MINORANT):
         raise ValueError("side must be 'majorant' or 'minorant'")
+    import numpy as np
+
     K = N + 1
     sgn = 1.0 if side == MAJORANT else -1.0
     coeffs: dict[int, complex] = {0: complex((b - a) / (2 * math.pi) + sgn / K)}

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 
 def _as_tuple(m) -> tuple[int, ...]:
     if isinstance(m, int):
@@ -314,6 +312,8 @@ def gauss_legendre_nd(fn, rect, tol: float = 1e-10, max_doublings: int = 9):
 
 
 def _gl_fixed(fn, rect, panels: int, order: int):
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(order)
     axes = []
     wts = []

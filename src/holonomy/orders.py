@@ -30,8 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
 from .fields import (
     BaseField,
     FieldElement,
@@ -165,7 +163,7 @@ def _parity_basis(K: BaseField, dred4: tuple):
     rows += [[a[0], a[1], b[0], b[1]] for a, b in sols]
     rows2 = tuple(tuple(row) for row in hnf(rows))
     # the ideal of sqrt coefficients and a module generator xi
-    g = K.principal_generator(hnf([[2, 0], [0, 2]] + [list(b) for _, b in sols]))
+    g = _ideal_generator(K, hnf_key([[2, 0], [0, 2]] + [list(b) for _, b in sols]))
     assert g is not None
     bg = (g.a, g.b)
     a0 = next((a for a, b in sols if (bg[0] - b[0]) % 2 == 0 and (bg[1] - b[1]) % 2 == 0), None)
@@ -175,6 +173,14 @@ def _parity_basis(K: BaseField, dred4: tuple):
     xi_rows = [[2, 0, 0, 0], [0, 2, 0, 0], [a0[0], a0[1], bg[0], bg[1]], [wa[0], wa[1], wb[0], wb[1]]]
     assert hnf_key(xi_rows) == hnf_key(rows2), "order is not O_K[xi]"
     return rows2, bg, a0
+
+
+@lru_cache(maxsize=None)
+def _ideal_generator(K: BaseField, key: tuple):
+    """A generator of the principal ideal of K with HNF key `key`, searched
+    once per field and key: the residue classes of _parity_basis share their
+    few coefficient ideals."""
+    return K.principal_generator(key)
 
 
 def _is_prime_ideal(p: IdealK, m: int) -> bool:
@@ -493,7 +499,10 @@ def _lll_rows_metric(rows, vecs):
     Computational Algebraic Number Theory, Alg. 2.6.3): the Gram-Schmidt
     coefficients mu and the squared lengths |b*|^2 are computed once and
     updated after each size reduction and swap. The lattice is unchanged,
-    only its basis. Returns (reduced integer rows, reduced embedding vectors).
+    only its basis. Returns (reduced integer rows, reduced embedding vectors,
+    mu, |b*|^2): mu[i][j] (j < i) is the Gram-Schmidt coefficient of vector i
+    on b*_j, and |b*|^2 the squared Gram-Schmidt lengths, of the reduced
+    vectors.
     """
     B = [list(map(int, r)) for r in rows]
     V = [[float(t) for t in v] for v in vecs]
@@ -546,7 +555,7 @@ def _lll_rows_metric(rows, vecs):
             mu[i][k] = mu[i][k - 1] - m * t
             mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
         k = max(k - 1, 1)
-    return B, V
+    return B, V, mu, bb
 
 
 def enumerate_mod_units(order, basis_rows, norm_min: int, norm_max, units,
@@ -613,23 +622,45 @@ def _covering_box(basis_rows, emb_rows, uppers, is_he):
     scaled by the half-widths lims, so the covering box stays small even for
     very lopsided cells. Returns (reduced rows, their scaled embeddings S,
     the scale 1/lims, the half-widths ks of the covering box, its number of
-    points): every lattice point in the embedding box has reduced
-    coordinates |c_i| <= ks_i."""
+    points, and the reduction's Gram-Schmidt data mu and |b*|^2): every
+    lattice point in the embedding box has reduced coordinates |c_i| <= ks_i."""
     if is_he:
         halves = [uppers[0], uppers[1], 0.5 * uppers[2], 0.5 * uppers[2]]
     else:
         halves = [0.5 * uppers[0], 0.5 * uppers[0], 0.5 * uppers[1], 0.5 * uppers[1]]
-    scale = np.array([1.0 / (math.exp(h) * _PAD) for h in halves])
+    scale = [1.0 / (math.exp(h) * _PAD) for h in halves]
     scaled = [[e * f for e, f in zip(v, scale)] for v in emb_rows]
-    red_rows, red_vecs = _lll_rows_metric(basis_rows, scaled)
-    S = np.array(red_vecs)  # rows: scaled embeddings of reduced basis
-    try:
-        Sinv = np.linalg.inv(S.T)
-    except np.linalg.LinAlgError:
-        raise Inconclusive("degenerate lattice embedding")
-    # max over the corners c of the unit cube of |(Sinv c)_i| is the l1 norm of row i
-    ks = [int(c + 1) for c in np.abs(Sinv).sum(axis=1)]
-    return red_rows, S, scale, ks, math.prod(2 * k + 1 for k in ks)
+    red_rows, S, mu, bb = _lll_rows_metric(basis_rows, scaled)  # rows of S: scaled embeddings
+    # max over the corners c of the unit cube of |((S^T)^-1 c)_i| is the l1 norm of row i
+    ks = [int(sum(abs(a) for a in row) + 1) for row in _inverse(list(zip(*S)))]
+    return red_rows, S, scale, ks, math.prod(2 * k + 1 for k in ks), mu, bb
+
+
+def _inverse(M):
+    """Inverse of a small float matrix by Gauss-Jordan elimination with
+    partial pivoting; an exactly singular one is a degenerate embedding."""
+    n = len(M)
+    A = [[float(a) for a in row] + [float(i == j) for j in range(n)] for i, row in enumerate(M)]
+    for col in range(n):
+        p = max(range(col, n), key=lambda r: abs(A[r][col]))
+        if A[p][col] == 0.0:
+            raise Inconclusive("degenerate lattice embedding")
+        A[col], A[p] = A[p], A[col]
+        piv = A[col][col]
+        A[col] = [a / piv for a in A[col]]
+        for r in range(n):
+            f = A[r][col]
+            if r != col and f:
+                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
+    return [row[n:] for row in A]
+
+
+def _ball_range(center, rem, b, lo, hi):
+    """The integers c in [lo, hi] with b * (c - center)^2 <= rem."""
+    if rem < 0:
+        return range(0)
+    w = math.sqrt(rem / b)
+    return range(max(lo, math.ceil(center - w)), min(hi, math.floor(center + w)) + 1)
 
 
 def _cell_scan(order, box, nmin, nmax, budget):
@@ -637,31 +668,69 @@ def _cell_scan(order, box, nmin, nmax, budget):
     result with nmin <= |N(x)| <= nmax, one of each pair +-x: the one whose
     first nonzero xi-coordinate is positive. The choice is made on the
     xi-coordinates, not on the reduced ones, so the set returned does not
-    depend on the LLL basis."""
-    red_rows, S, scale, ks, total = box
+    depend on the LLL basis.
+
+    A triangular descent (Fincke-Pohst; Cohen, GTM 138, Alg. 2.7.5) over the
+    reduced coordinates c: the box |v_j| <= t of scaled embeddings
+    v = sum c_i S_i, t = 1 + 1e-9, lies in the ball |v| <= 2t, which bounds
+    c3, c2 and c1 in turn through the Gram-Schmidt data of the reduction;
+    c0 then runs over the intersection of the four slabs |v_j| <= t. So the
+    leaves are lattice points of the box, and nothing else. A point the
+    covering needs lies in the unpadded box, |v_j| <= 1/_PAD, hence within
+    radius 2/_PAD < 2 and strictly inside every slab: float rounding in the
+    bounds cannot drop it. Every bound and the float norm are odd or even
+    in c bit for bit, so the descent walks only the half of the box whose
+    last nonzero c is positive, and turns each x it keeps to the sign the
+    xi-coordinates choose.
+    """
+    red_rows, S, scale, ks, total, mu, bb = box
     if total > budget:
         raise Inconclusive(f"enumeration box too large ({total} points)")
-    axes = [np.arange(-k, k + 1, dtype=np.int64) for k in ks]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    emb = grid.astype(float) @ S  # scaled embedding values
-    inside = np.all(np.abs(emb) <= 1.0 + 1e-9, axis=1)
-    emb_true = emb[inside] / scale  # unscale
-    grid = grid[inside]
-    if order.signature == HYPERBOLIC_ELLIPTIC:
-        nrm = np.abs(emb_true[:, 0] * emb_true[:, 1]) * (emb_true[:, 2] ** 2 + emb_true[:, 3] ** 2)
-    else:
-        nrm = (emb_true[:, 0] ** 2 + emb_true[:, 1] ** 2) * (emb_true[:, 2] ** 2 + emb_true[:, 3] ** 2)
-    mask = (nrm >= nmin * 0.98 - 0.5) & (nrm <= nmax * 1.02 + 0.5)
+    t = 1.0 + 1e-9
+    he = order.signature == HYPERBOLIC_ELLIPTIC
+    lo_norm, hi_norm = nmin * 0.98 - 0.5, nmax * 1.02 + 0.5
+    S0, S1, S2, S3 = S
+    s0, s1, s2, s3 = S0
+    f0, f1, f2, f3 = scale
+    k0, k1, k2, k3 = ks
+    ceil, floor = math.ceil, math.floor
     out = []
-    for row in grid[mask]:
-        x = _coords_to_elt(row.tolist(), red_rows)
-        # first nonzero xi-coordinate positive; this also drops x = 0
-        if next((c for c in x if c), 0) <= 0:
-            continue
-        exact = abs(order.abs_norm_int(x))
-        if nmin <= exact <= nmax:
-            out.append(x)
+    r3 = 4 * t * t
+    for c3 in _ball_range(0.0, r3, bb[3], 0, k3):
+        r2 = r3 - bb[3] * c3 * c3
+        m2 = -mu[3][2] * c3
+        for c2 in _ball_range(m2, r2, bb[2], -k2 if c3 else 0, k2):
+            r1 = r2 - bb[2] * (c2 - m2) ** 2
+            m1 = -(mu[2][1] * c2 + mu[3][1] * c3)
+            p = [c2 * a + c3 * b for a, b in zip(S2, S3)]
+            for c1 in _ball_range(m1, r1, bb[1], -k1 if c3 or c2 else 0, k1):
+                v0, v1, v2, v3 = v = [c1 * a + b for a, b in zip(S1, p)]
+                lo, hi = -k0 if c3 or c2 or c1 else 1, k0
+                for s, vj in zip(S0, v):
+                    if s > 0:
+                        a, b = ceil((-t - vj) / s), floor((t - vj) / s)
+                    elif s < 0:
+                        a, b = ceil((t - vj) / s), floor((-t - vj) / s)
+                    else:  # the slab does not depend on c0
+                        a, b = (lo, hi) if abs(vj) <= t else (1, 0)
+                    if a > lo:
+                        lo = a
+                    if b < hi:
+                        hi = b
+                for c0 in range(lo, hi + 1):
+                    e0, e1 = (v0 + c0 * s0) / f0, (v1 + c0 * s1) / f1
+                    e2, e3 = (v2 + c0 * s2) / f2, (v3 + c0 * s3) / f3
+                    q = e2 * e2 + e3 * e3
+                    nrm = abs(e0 * e1) * q if he else (e0 * e0 + e1 * e1) * q
+                    if not lo_norm <= nrm <= hi_norm:
+                        continue
+                    x = _coords_to_elt((c0, c1, c2, c3), red_rows)
+                    # c != 0, so x != 0: keep the sign with first nonzero xi-coordinate positive
+                    if next(c for c in x if c) < 0:
+                        x = tuple(-c for c in x)
+                    exact = abs(order.abs_norm_int(x))
+                    if nmin <= exact <= nmax:
+                        out.append(x)
     return out
 
 

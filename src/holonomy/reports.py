@@ -17,7 +17,6 @@ from functools import cache, cached_property
 from pathlib import Path
 
 import mpmath
-import numpy as np
 
 from .extremal import MAJORANT, MINORANT, build_majorant
 from .measure import TrigFunction, eval_char, m_star, mu_of_trig, mu_rect
@@ -184,6 +183,8 @@ def _symmetrize_interval(lo: float, hi: float):
 def _folded_sum(table: GeodesicTable, polys):
     """th -> sum over polys of (S(th) + S(-th))/2 at the table's folded
     angles, each polynomial evaluated once over all of them."""
+    import numpy as np
+
     angles = [r.folded_angle for r in table.rows]
     th = np.array(angles, dtype=float)
     vals = [(S.eval_grid(th), S.eval_grid(-th)) for S in polys]
@@ -337,6 +338,8 @@ class TestFunctionSpec:
         """int over R of h(r) r tanh(pi r) dr by vectorized segment summation."""
         if self.family == "zero":
             return 0.0
+        import numpy as np
+
         nodes, weights = _gl_nodes(48)
         total = 0.0
         consecutive_small = 0
@@ -355,8 +358,10 @@ class TestFunctionSpec:
                 consecutive_small = 0
         return 2 * total
 
-    def _h_grid(self, r: np.ndarray) -> np.ndarray:
-        """h on a real grid (vectorized)."""
+    def _h_grid(self, r):
+        """h on a real numpy grid (vectorized)."""
+        import numpy as np
+
         if self.family == "zero":
             return np.zeros_like(r)
         nodes, wvals, norm = _bump_rule()
@@ -410,6 +415,8 @@ def _gl_nodes(n: int):
     for bit to numpy's leggauss(n): the mirrored nonnegative half tabulated
     in gauss_legendre.npz (scripts/gauss_legendre_table.py writes it). An n
     not in the table raises KeyError."""
+    import numpy as np
+
     with np.load(_GL_TABLE) as table:
         x, w = table[f"x{n}"], table[f"w{n}"]
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
@@ -420,6 +427,8 @@ def _bump_rule():
     """(nodes, weights * v, sum of weights * v) for the 200-point rule and the
     bump v = exp(-1/(1 - nodes^2)): the nodes, the weighted bump values and
     the bump's integral over [-1, 1]."""
+    import numpy as np
+
     nodes, weights = _gl_nodes(200)
     wvals = weights * np.exp(-1 / (1 - nodes ** 2))
     return nodes, wvals, float(np.sum(wvals))
@@ -427,6 +436,8 @@ def _bump_rule():
 
 def _bump_integral(a: float, b: float) -> float:
     """Integral of the normalized bump over [a, b] subset [-1, 1]."""
+    import numpy as np
+
     nodes, weights = _gl_nodes(200)
     t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     vals = np.exp(-1 / np.maximum(1 - t * t, 1e-300))

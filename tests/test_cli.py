@@ -238,7 +238,8 @@ class TestCliFlows:
 
 class TestImport:
     """Importing the package keeps numpy's OpenBLAS single-threaded, so no
-    idle worker spins beside the caller; an explicit setting is kept."""
+    idle worker spins beside the caller; an explicit setting is kept. The
+    probe imports numpy itself, since the CLI no longer does."""
 
     @staticmethod
     def _probe(blas_threads):
@@ -248,7 +249,7 @@ class TestImport:
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
-        code = ("import os, holonomy.cli; "
+        code = ("import os, holonomy.cli, numpy; "
                 "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0; "
                 "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

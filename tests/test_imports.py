@@ -1,16 +1,22 @@
-"""Every name a package module imports is used in that module, and every
-function and method the package defines is named by the program.
+"""Every name a package module imports is used in that module, every
+function and method the package defines is named by the program, and a
+table build never loads numpy.
 
 No linter ships with the project's dependencies, so this parses each module
 with ast: a name bound by an import must be read somewhere in the module,
 as a name or as the base of an attribute, or in a string annotation. A
 top-level function or method of src/ must be named somewhere in src/,
 perfbench/ or scripts/, unless it is a test-backed helper in
-TEST_BACKED_HELPERS.
+TEST_BACKED_HELPERS. No module imports numpy at module level: the report
+functions that use it import it where they run, so a build process and the
+queries that run no numpy code never pay its import.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +117,70 @@ def test_checker_flags_an_unnamed_function():
            "    def traced(self):\n        pass\n\n    def gone(self):\n        pass\n")
     tracer = "TRACED = {('m', 'C.traced'): 'wall_s'}\nused()\nKIND = 'gone'\n"
     assert unnamed_functions({"m.py": src}, [src, tracer]) == [("m.py", "C.gone"), ("m.py", "dead")]
+
+
+def module_level_imports(source: str) -> list:
+    """(line, module) of every import that runs when the module loads: those
+    outside function bodies, including class bodies and if/try blocks."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                out.extend((child.lineno, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                out.append((child.lineno, child.module))
+            visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+def imports_numpy(module: str) -> bool:
+    return module == "numpy" or module.startswith("numpy.")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_numpy_import(path):
+    assert [(line, m) for line, m in module_level_imports(path.read_text()) if imports_numpy(m)] == []
+
+
+def test_checker_flags_a_module_level_numpy_import():
+    src = ("import numpy as np\nfrom numpy.linalg import inv\nif True:\n    import numpy.fft\n"
+           "class C:\n    import numpy\n\n\ndef f():\n    import numpy as np\n    return np\n")
+    assert [(line, m) for line, m in module_level_imports(src) if imports_numpy(m)] == \
+        [(1, "numpy"), (2, "numpy.linalg"), (4, "numpy.fft"), (6, "numpy")]
+
+
+BUILD_PATH = """
+import sys
+from pathlib import Path
+
+import holonomy.cli
+from holonomy.fields import make_field
+from holonomy.orders import LatticeSpec, OrderCache
+
+d = Path(sys.argv[1])
+OrderCache(str(d / "setup.jsonl"))
+LatticeSpec.hilbert(make_field(2))
+csv = str(d / "x4.csv")
+assert holonomy.cli.main(["--cache", str(d / "cache.jsonl"), "enumerate", "--m", "2", "--x", "4",
+                          "--out", csv]) == 0
+assert holonomy.cli.main(["stats", "pgt", "--in", csv, "--grid", "3,4"]) == 0
+print("numpy after build:", "numpy" in sys.modules)
+assert holonomy.cli.main(["stats", "equi", "--in", csv, "--rect", " -1:1", "--N", "8", "--grid", "4"]) == 0
+print("numpy after rect:", "numpy" in sys.modules)
+"""
+
+
+def test_build_path_never_loads_numpy(tmp_path):
+    # a cold build through an empty cache, then a counting query, in a fresh
+    # interpreter; the rectangle report still loads numpy where it runs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", BUILD_PATH, str(tmp_path)], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert "numpy after build: False" in out
+    assert out[-1] == "numpy after rect: True"

@@ -37,7 +37,11 @@ from holonomy.orders import (
     Inconclusive,
     LatticeSpec,
     OrderCache,
+    _STD_ROWS,
+    _cell_scan,
     _class_set,
+    _covering_box,
+    _flat_embedding,
     _inverse_lattice,
     _is_residue_square,
     _parity_basis,
@@ -147,7 +151,89 @@ def gso_lll_rows_metric(rows, vecs):
             B[k], B[k - 1] = B[k - 1], B[k]
             V[k], V[k - 1] = V[k - 1], V[k]
             k = max(k - 1, 1)
-    return B, V
+    star, mu = gso()
+    return B, [v.tolist() for v in V], mu, [float(s @ s) for s in star]
+
+
+def numpy_covering_box(basis_rows, emb_rows, uppers, is_he):
+    """_covering_box as it was with a numpy inverse, kept as the oracle of the
+    Gauss-Jordan one: (reduced rows, S, scale, ks, total), numpy arrays."""
+    if is_he:
+        halves = [uppers[0], uppers[1], 0.5 * uppers[2], 0.5 * uppers[2]]
+    else:
+        halves = [0.5 * uppers[0], 0.5 * uppers[0], 0.5 * uppers[1], 0.5 * uppers[1]]
+    scale = np.array([1.0 / (math.exp(h) * holonomy.orders._PAD) for h in halves])
+    scaled = [[e * f for e, f in zip(v, scale)] for v in emb_rows]
+    red_rows, red_vecs, *_ = holonomy.orders._lll_rows_metric(basis_rows, scaled)
+    S = np.array(red_vecs)
+    try:
+        Sinv = np.linalg.inv(S.T)
+    except np.linalg.LinAlgError:
+        raise Inconclusive("degenerate lattice embedding")
+    ks = [int(c + 1) for c in np.abs(Sinv).sum(axis=1)]
+    return red_rows, S, scale, ks, math.prod(2 * k + 1 for k in ks)
+
+
+def numpy_box_points(box):
+    """(coordinates, scaled embeddings) of the points of a numpy_covering_box
+    grid inside the padded box: the points the numpy scan visited."""
+    red_rows, S, scale, ks, total = box
+    axes = [np.arange(-k, k + 1, dtype=np.int64) for k in ks]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    emb = grid.astype(float) @ S
+    inside = np.all(np.abs(emb) <= 1.0 + 1e-9, axis=1)
+    return grid[inside], emb[inside]
+
+
+def numpy_cell_scan(order, box, nmin, nmax, budget):
+    """The numpy box-grid _cell_scan, kept as the oracle of the triangular
+    descent."""
+    red_rows, S, scale, ks, total = box
+    if total > budget:
+        raise Inconclusive(f"enumeration box too large ({total} points)")
+    grid, emb = numpy_box_points(box)
+    emb_true = emb / scale
+    if order.signature == HYPERBOLIC_ELLIPTIC:
+        nrm = np.abs(emb_true[:, 0] * emb_true[:, 1]) * (emb_true[:, 2] ** 2 + emb_true[:, 3] ** 2)
+    else:
+        nrm = (emb_true[:, 0] ** 2 + emb_true[:, 1] ** 2) * (emb_true[:, 2] ** 2 + emb_true[:, 3] ** 2)
+    mask = (nrm >= nmin * 0.98 - 0.5) & (nrm <= nmax * 1.02 + 0.5)
+    out = []
+    for row in grid[mask]:
+        x = holonomy.orders._coords_to_elt(row.tolist(), red_rows)
+        if next((c for c in x if c), 0) <= 0:
+            continue
+        exact = abs(order.abs_norm_int(x))
+        if nmin <= exact <= nmax:
+            out.append(x)
+    return out
+
+
+def scan_leaves(order, box):
+    """Reduced coordinates of every leaf _cell_scan visits in box, in visiting
+    order: with nmin = 0 no leaf fails the float norm mask, so each one
+    reaches _coords_to_elt once. The scan walks one of each pair +-c and
+    skips c = 0."""
+    leaves = []
+    to_elt = holonomy.orders._coords_to_elt
+
+    def recording(coords, rows):
+        leaves.append(tuple(coords))
+        return to_elt(coords, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holonomy.orders, "_coords_to_elt", recording)
+        _cell_scan(order, box, 0, 10 ** 40, math.inf)
+    return leaves
+
+
+def inconclusive_text(fn, *args):
+    try:
+        fn(*args)
+    except Inconclusive as e:
+        return str(e)
+    return None
 
 
 def two_pass_class_number(order, units, bound_scale=1.0, budget=6_000_000):
@@ -540,14 +626,14 @@ def unguarded_is_square(D):
     return fraction_sqrt_in_K(D) is not None
 
 
-def record_cold_x5(d, patches):
-    """Run a cold x=5 build into directory d with the given module attributes
-    of holonomy.orders patched."""
+def record_cold_build(d, patches, m=2, x=5):
+    """Run a cold build of Q(sqrt m) at cutoff x into directory d with the
+    given module attributes of holonomy.orders patched."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in patches.items():
             mp.setattr(holonomy.orders, name, value)
-        assert cli_main(["--cache", str(d / "cache.jsonl"), "enumerate", "--m", "2", "--x", "5",
-                         "--out", str(d / "x5.csv")]) == 0
+        assert cli_main(["--cache", str(d / "cache.jsonl"), "enumerate", "--m", str(m), "--x", str(x),
+                         "--out", str(d / "table.csv")]) == 0
 
 
 def recording_scans(cells):
@@ -582,7 +668,7 @@ def cold_x5(tmp_path_factory):
     for name, calls in (("class_number", orders), ("_generator_keys", searches),
                         ("unit_norm_index", norm_indices)):
         patches[name] = recording(getattr(holonomy.orders, name), calls)
-    record_cold_x5(tmp_path_factory.mktemp("cold_x5"), {"_BLOCK_POINTS": 0, **patches})
+    record_cold_build(tmp_path_factory.mktemp("cold_x5"), {"_BLOCK_POINTS": 0, **patches})
     return cells, orders, searches, norm_indices
 
 
@@ -600,7 +686,17 @@ def cold_x5_blocks(tmp_path_factory):
     """Every _cell_scan call of a cold x=5 build on the default blocks, as
     recording_scans records it."""
     cells = []
-    record_cold_x5(tmp_path_factory.mktemp("cold_x5_blocks"), recording_scans(cells))
+    record_cold_build(tmp_path_factory.mktemp("cold_x5_blocks"), recording_scans(cells))
+    return cells
+
+
+@pytest.fixture(scope="module", params=[3, 5, 13])
+def cold_x65_blocks(request, tmp_path_factory):
+    """Every _cell_scan call of a cold x=6.5 build of Q(sqrt m) on the default
+    blocks, as recording_scans records it."""
+    cells = []
+    record_cold_build(tmp_path_factory.mktemp(f"cold_x65_m{request.param}"), recording_scans(cells),
+                      m=request.param, x=6.5)
     return cells
 
 
@@ -640,6 +736,72 @@ def scans_agree_with_gso_lll(cells, monkeypatch):
         box = holonomy.orders._covering_box(*box_args)
         assert sorted(holonomy.orders._cell_scan(order, box, *rest)) == got
     return sum(agree) / len(agree)
+
+
+def assert_scans_match_numpy_oracle(cells):
+    """Replay recorded _cell_scan calls on the Gauss-Jordan box and on the
+    numpy oracle's box: the same ks and total, the same returned set, and
+    leaves that, with their negatives and 0, are exactly the grid points the
+    numpy scan found inside the padded box. Returns the total count of
+    in-box points visited, 2 * leaves + 1 a scan."""
+    n_points = 0
+    for (order, box_args, *rest), got in cells:
+        box, want_box = _covering_box(*box_args), numpy_covering_box(*box_args)
+        assert box[:1] + box[3:5] == want_box[:1] + want_box[3:5]
+        assert sorted(_cell_scan(order, box, *rest)) == sorted(numpy_cell_scan(order, want_box, *rest)) == got
+        leaves = scan_leaves(order, box)
+        walked = leaves + [tuple(-c for c in x) for x in leaves] + [(0, 0, 0, 0)]
+        assert sorted(walked) == sorted(map(tuple, numpy_box_points(want_box)[0].tolist()))
+        n_points += len(walked)
+    return n_points
+
+
+class TestTriangularScan:
+    def test_cold_x5_scans_match_numpy_oracle(self, cold_x5_blocks):
+        assert len(cold_x5_blocks) == 87
+        n_points = assert_scans_match_numpy_oracle(cold_x5_blocks)
+        total = sum(_covering_box(*box_args)[4] for (_, box_args, *_), _ in cold_x5_blocks)
+        # the descent visits the points inside the padded box, a few % of the grid
+        assert 0 < n_points < 0.05 * total
+
+    def test_cold_x65_scans_match_numpy_oracle(self, cold_x65_blocks):
+        assert len(cold_x65_blocks) > 20
+        assert_scans_match_numpy_oracle(cold_x65_blocks)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    def test_norm_one_group_size_matches_numpy_oracle(self, m):
+        K = make_field(m)
+        n_orders = 0
+        for t in enumerate_elliptic_traces(K):
+            D = t * t - 4
+            for d_id, _ in square_divisor_splits(D):
+                O = build_order(K, D, d_id)
+                if not O.realizable or O.signature != TOTALLY_ELLIPTIC:
+                    continue
+                args = (_STD_ROWS, [_flat_embedding(O, r) for r in _STD_ROWS], [0.0, 0.0], False)
+                found = numpy_cell_scan(O, numpy_covering_box(*args), 1, 1, 6_000_000)
+                assert norm_one_group_size(O) == 2 * sum(1 for x in found if O.rel_norm(x) == 1)
+                assert sorted(_cell_scan(O, _covering_box(*args), 1, 1, 6_000_000)) == sorted(found)
+                n_orders += 1
+        assert n_orders >= 2
+
+    def test_budget_edge_raises_the_same_text(self, cold_x5_blocks):
+        for (order, box_args, nmin, nmax, _), _ in cold_x5_blocks[:20]:
+            box, want_box = _covering_box(*box_args), numpy_covering_box(*box_args)
+            total = box[4]
+            text = inconclusive_text(_cell_scan, order, box, nmin, nmax, total - 1)
+            assert text == f"enumeration box too large ({total} points)"
+            assert text == inconclusive_text(numpy_cell_scan, order, want_box, nmin, nmax, total - 1)
+            assert inconclusive_text(_cell_scan, order, box, nmin, nmax, total) is None
+
+    def test_gauss_jordan_inverse(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            M = rng.normal(size=(4, 4))
+            assert np.allclose(holonomy.orders._inverse(M.tolist()), np.linalg.inv(M), rtol=1e-9, atol=1e-12)
+        singular = [[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        with pytest.raises(Inconclusive, match="degenerate lattice embedding"):
+            holonomy.orders._inverse(singular)
 
 
 class TestClassNumberOracle:
@@ -1426,6 +1588,23 @@ class TestParityTable:
         for r in RESIDUES:
             self._assert_entry_matches(K, r, K.elt(r[0] + 4, r[1]))
             assert _parity_basis(K, r) is _parity_basis(K, r)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    def test_one_generator_search_per_coefficient_ideal(self, m, monkeypatch):
+        # the residue classes share a few ideals of sqrt coefficients
+        K = make_field(m)
+        search, keys = type(K).principal_generator, []
+
+        def counting(field, rows):
+            keys.append(tuple(map(tuple, rows)))
+            return search(field, rows)
+
+        monkeypatch.setattr(type(K), "principal_generator", counting)
+        _parity_basis.cache_clear()
+        holonomy.orders._ideal_generator.cache_clear()
+        for r in RESIDUES:
+            _parity_basis(K, r)
+        assert len(keys) == len(set(keys)) < len(RESIDUES)
 
     @staticmethod
     def _square_samples(K):
