@@ -52,7 +52,8 @@ def table_to_csv(table: GeodesicTable) -> str:
 
 
 class CsvRow:
-    """Row of a loaded geodesic table (statistics view of the CSV)."""
+    """Row of a loaded geodesic table (statistics view of the CSV); t is the
+    coordinate pair (a, b) of the trace."""
 
     __slots__ = ("t", "length", "folded_angle", "q", "primitive_length",
                  "multiplicity", "certified")
@@ -99,7 +100,7 @@ def table_from_csv(text: str) -> GeodesicTable:
                             Fraction(vals[idx["multiplicity_hi"]]),
                             vals[idx["certified"]] == "true")
         rows.append(CsvRow(
-            (vals[idx["t_a"]], vals[idx["t_b"]]),
+            (int(vals[idx["t_a"]]), int(vals[idx["t_b"]])),
             float(vals[idx["length"]]),
             float(vals[idx["folded_angle"]]),
             int(vals[idx["q"]]),
@@ -109,6 +110,8 @@ def table_from_csv(text: str) -> GeodesicTable:
         ))
     m = int(meta.get("m", "0"))
     x = float(meta.get("x", max((r.length for r in rows), default=0.0)))
+    if "x" in meta and not 0 < x < math.inf:
+        raise ValueError(f"not a geodesic table CSV: header x={meta['x']} is not finite and positive")
     return GeodesicTable(m, x, rows, [])
 
 
@@ -156,7 +159,7 @@ def main(argv=None) -> int:
                                  description="closed-geodesic and holonomy statistics laboratory")
     ap.add_argument("--config", help="key=value config file")
     ap.add_argument("--cache", help="order cache path (JSON lines)")
-    ap.add_argument("--format", choices=("csv", "json", "text"), default=None)
+    ap.add_argument("--format", choices=("json", "text"), default=None)
     ap.add_argument("--strict", action="store_true",
                     help="exit 3 on inconclusive oracle results")
     sub = ap.add_subparsers(dest="cmd")

@@ -15,7 +15,7 @@ class RunConfig:
     ideal_bound_scale: float = 1.0
     principality_budget: int = 6_000_000
     cache_path: str | None = None
-    output_format: str = "text"  # csv | json | text
+    output_format: str = "text"  # json | text
     seed: int = 0
     strict: bool = False
 
@@ -34,7 +34,7 @@ class RunConfig:
 _INT_KEYS = ("precision_bits", "principality_budget", "seed")
 _FLOAT_KEYS = ("unit_search_height", "ideal_bound_scale")
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_FORMATS = ("csv", "json", "text")
+_FORMATS = ("json", "text")
 
 
 def _typed_value(key: str, v: str):

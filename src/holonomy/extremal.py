@@ -60,25 +60,12 @@ class TrigPolynomial:
             out += c * np.exp(1j * k * thetas)
         return out.real
 
-    def eval(self, theta: float) -> float:
-        import numpy as np
-
-        return float(self.eval_grid(np.array([theta]))[0])
-
     def integral(self) -> float:
         """Integral over [-pi, pi]."""
         return 2 * math.pi * self.coeffs[0].real
 
     def to_trig_function(self) -> TrigFunction:
         return TrigFunction(1, {(k,): complex(c) for k, c in self.coeffs.items()})
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "interval": list(self.interval),
-            "side": self.side,
-            "coeffs": {str(k): [c.real, c.imag] for k, c in sorted(self.coeffs.items())},
-        }
 
 
 def build_majorant(interval, N: int, side: str = MAJORANT) -> TrigPolynomial:

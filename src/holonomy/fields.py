@@ -8,8 +8,8 @@ integrally closed, so a square root or quotient that exists in K is
 integral, and the program needs no rational element of K. Each formula
 lives once, in the integer-pair helpers (kmul, knorm, kconj, kdiv_exact)
 that the hot loops call directly. All order/sign decisions are made by
-exact arithmetic, never by floats; floating enclosures are available for
-numerics but carry rigorous widths.
+exact arithmetic, never by floats; every float of an element is read off
+the integers (X, Y) of x = (X + Y*sqrt(m))/c by one integer division.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .intlinalg import hnf, in_lattice, pivot_product
@@ -28,14 +27,7 @@ class ScopeError(ValueError):
 
 
 def _is_squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return all(e == 1 for e in _factorint(n).values())
 
 
 def sign_p_q_sqrt(p, q, m: int) -> int:
@@ -183,51 +175,21 @@ class FieldElement:
     def norm(self) -> int:
         return knorm(self.field, (self.a, self.b))
 
-    def sqrt_coords(self):
-        """(p, q) with self = p + q*sqrt(m): ints, or Fraction halves when
-        m = 1 mod 4 and b is odd."""
-        a, b = self.a, self.b
-        if not self.field._half_basis:
-            return (a, b)
-        if b % 2 == 0:
-            return (a + b // 2, b // 2)
-        return (Fraction(2 * a + b, 2), Fraction(b, 2))
-
     def sign(self, place: int) -> int:
-        # 2*self = (2a + b) + b*sqrt(m) when w = (1 + sqrt(m))/2: same sign
-        a, b = self.a, self.b
-        if self.field._half_basis:
-            a = 2 * a + b
-        return sign_p_q_sqrt(a, b if place == 0 else -b, self.field.m)
-
-    def embed(self, place: int, prec: int = 64):
-        """Rigorous enclosure (lo, hi) of iota_place(self), width <= 2^(1-prec)."""
-        if prec < 32:
-            raise ValueError("prec must be >= 32")
-        p, q = self.sqrt_coords()
-        if q == 0:
-            return (p, p)
-        k = prec + max(q.numerator.bit_length(), 1) + 2
-        lo_s, hi_s = self.field.sqrt_m_enclosure(k)
-        if place == 1:
-            lo_s, hi_s = -hi_s, -lo_s
-        if q > 0:
-            return (p + q * lo_s, p + q * hi_s)
-        return (p + q * hi_s, p + q * lo_s)
+        X, Y = self.field._xy(self)  # c*self = X + Y*sqrt(m): same sign
+        return sign_p_q_sqrt(X, Y if place == 0 else -Y, self.field.m)
 
     def approx(self, place: int) -> float:
-        """The float nearest the midpoint of embed(place, 64), by one
-        correctly rounded integer division: p +- q*(2L + 1)/2^(k+1) with
-        sqrt(m) in [L/2^k, (L+1)/2^k]."""
-        p, q = self.sqrt_coords()
-        if q == 0:
-            return float(p)
-        k = 66 + max(q.numerator.bit_length(), 1)
-        s = 2 * math.isqrt(self.field.m << (2 * k)) + 1
-        if place == 1:
-            s = -s
-        pd, qd = p.denominator, q.denominator
-        return (p.numerator * qd * (2 << k) + q.numerator * pd * s) / (pd * qd * (2 << k))
+        """iota_place(self) = (X +- Y*sqrt(m))/c as a float, by one correctly
+        rounded integer division, with sqrt(m) read as the midpoint
+        (2L + 1)/2^(k+1) of [L/2^k, (L+1)/2^k] (k, L from _sqrt_m_floor)."""
+        K = self.field
+        X, Y = K._xy(self)
+        c = 2 if K._half_basis else 1
+        if Y == 0:
+            return X / c
+        k, L = K._sqrt_m_floor(Y)
+        return (X * (2 << k) + (Y if place == 0 else -Y) * (2 * L + 1)) / (c * (2 << k))
 
     def is_unit(self) -> bool:
         return abs(self.norm()) == 1
@@ -261,9 +223,10 @@ def quotient(x: FieldElement, y) -> FieldElement | None:
     return None if q is None else FieldElement(x.field, *q)
 
 
-def format_element(x: FieldElement) -> str:
-    """Canonical text form a+b*w used in CLI and CSV."""
-    a, b = x.a, x.b
+def format_element(x) -> str:
+    """Canonical text form a+b*w used in CLI and CSV, of an element or of
+    its coordinate pair (a, b)."""
+    a, b = (x.a, x.b) if isinstance(x, FieldElement) else x
     if b == 0:
         return str(a)
     bpart = "w" if b == 1 else ("-w" if b == -1 else f"{b}*w")
@@ -339,16 +302,18 @@ class BaseField:
             self.disc = 4 * m
             self._w2 = (m, 0)
             self._trace_w = 0
-        self._sqrt_cache: dict[int, tuple[Fraction, Fraction]] = {}
         self._prime_cache: dict[int, list] = {}
         self._factor_cache: dict[tuple, tuple] = {}
         self._norm_table: tuple[int, dict] | None = None
-        self.eps = self._fundamental_unit()
+        self.eps = FieldElement(self, *_fundamental_unit(m))
         self.eps_norm = self.eps.norm()
-        self._eps_xy = self._xy(self.eps)
-        # _ymax's factor c^2 * (hi + 1)^2 / (4m), hi the upper enclosure of iota_0(eps)
-        scale = (4 if self._half_basis else 1) * (self.eps.embed(0)[1] + 1) ** 2 / (4 * m)
-        self._ymax_scale = (scale.numerator, scale.denominator)
+        self._eps_xy = e1, e2 = self._xy(self.eps)
+        # _ymax's factor c^2 * (hi + 1)^2 / (4m) = N^2 / (4m * 4^k), with
+        # hi = (e1 + e2*(L+1)/2^k)/c >= iota_0(eps) read as in approx
+        c = 2 if self._half_basis else 1
+        k, L = self._sqrt_m_floor(e2)
+        N = ((e1 + c) << k) + e2 * (L + 1)
+        self._ymax_scale = (N * N, m << (2 * k + 2))
         assert abs(self.eps_norm) == 1
         assert (self.eps - 1).sign(0) > 0
         self.h_K = self._class_number()
@@ -364,34 +329,17 @@ class BaseField:
         return FieldElement(self, 0, 1)
 
     # -- numerics ---------------------------------------------------------------
-    def sqrt_m_enclosure(self, kbits: int):
-        """Rational lo <= sqrt(m) <= hi with hi - lo = 2^-kbits."""
-        if kbits not in self._sqrt_cache:
-            scale = 1 << kbits
-            lo = math.isqrt(self.m * scale * scale)
-            self._sqrt_cache[kbits] = (Fraction(lo, scale), Fraction(lo + 1, scale))
-        return self._sqrt_cache[kbits]
+    def _sqrt_m_floor(self, Y: int):
+        """(k, L) with L = floor(sqrt(m) * 2^k), k = 66 + the bit length of
+        the reduced numerator of Y/c: the precision at which approx and
+        _ymax read sqrt(m) for an element with Y != 0."""
+        if self._half_basis and Y % 2 == 0:
+            Y //= 2
+        k = 66 + Y.bit_length()
+        return k, math.isqrt(self.m << (2 * k))
 
     def omega_text(self) -> str:
         return f"(1+sqrt({self.m}))/2" if self._half_basis else f"sqrt({self.m})"
-
-    # -- fundamental unit ---------------------------------------------------------
-    def _fundamental_unit(self) -> FieldElement:
-        m = self.m
-        if not self._half_basis:
-            x, y = _pell_min_solution(m)
-            return FieldElement(self, x, y)
-        # minimal x^2 - m y^2 = +-4 by increasing y; x == y mod 2 is automatic
-        y = 1
-        while y < 10**7:
-            for delta in (-4, 4):
-                t = m * y * y + delta
-                if t > 0:
-                    x = math.isqrt(t)
-                    if x * x == t:
-                        return self._from_xy(x, y)
-            y += 1
-        raise ArithmeticError(f"fundamental unit search exhausted for m={m}")
 
     # -- class number ----------------------------------------------------------------
     def _class_number(self) -> int:
@@ -476,7 +424,7 @@ class BaseField:
         X^2 - m*Y^2 = +-c^2*N(x) with X = Y mod 2 when c = 2. A canonical x
         has 0 < iota_0 < sqrt|N|*eps and |iota_1| <= sqrt|N|, so X >= 0 and
         0 <= Y = c*(iota_0 - iota_1)/(2*sqrt(m)) <= Ymax, bounded exactly via
-        the rational enclosure of eps. For each Y the X of either sign of
+        an integer upper bound on iota_0(eps). For each Y the X of either sign of
         N(x) form a range bounded by isqrt.
         """
         cc = 4 if self._half_basis else 1
@@ -495,7 +443,8 @@ class BaseField:
 
     def _ymax(self, n: int) -> int:
         """Bound on Y = c*(iota_0 - iota_1)/(2*sqrt(m)) over canonical x with
-        |N(x)| <= n, from the rational upper enclosure of iota_0(eps)."""
+        |N(x)| <= n, from the upper bound on iota_0(eps) that __init__ reads
+        off sqrt(m) at approx's precision."""
         num, den = self._ymax_scale
         return math.isqrt(n * num // den)
 
@@ -620,25 +569,25 @@ def _kronecker(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _pell_min_solution(m: int):
-    """Minimal (x, y), x,y > 0, with x^2 - m y^2 = +-1, via sqrt(m) CF."""
-    a0 = math.isqrt(m)
-    P, Q = 0, 1
-    pm1, p0 = 1, a0
-    qm1, q0 = 0, 1
-    a = a0
+def _fundamental_unit(m: int):
+    """Coordinates (a, b) over (1, w) of the fundamental unit eps > 1 of
+    Q(sqrt(m)): a + b*w = p - q*conj(w) for the first convergent p/q of the
+    continued fraction of w = (P + sqrt(m))/Q whose norm is +-1 (Cohen,
+    GTM 138, section 5.7). A unit u = p - q*conj(w) > 1 has |w - p/q| =
+    1/(q*u) and u > q*sqrt(m) - 1, so for m > 9 Legendre's bound 1/(2q^2)
+    makes p/q a convergent; the tests check m < 200 by brute force."""
+    r = math.isqrt(m)
+    c0, tw = ((m - 1) // 4, 1) if m % 4 == 1 else (m, 0)  # w^2 = c0 + tw*w
+    P, Q = (1, 2) if m % 4 == 1 else (0, 1)
+    p0, p, q0, q = 0, 1, 1, 0
     while True:
+        a = (P + r) // Q
+        p0, p, q0, q = p, a * p + p0, q, a * q + q0
+        x = p - tw * q
+        if abs(x * x + tw * x * q - c0 * q * q) == 1:
+            return x, q
         P = a * Q - P
         Q = (m - P * P) // Q
-        a = (a0 + P) // Q
-        p1 = a * p0 + pm1
-        q1 = a * q0 + qm1
-        if Q == 1:
-            # period complete at this step: previous convergent solves Pell
-            assert p0 * p0 - m * q0 * q0 in (1, -1)
-            return p0, q0
-        pm1, p0 = p0, p1
-        qm1, q0 = q0, q1
 
 
 @lru_cache(maxsize=None)
@@ -655,45 +604,18 @@ class SignReport:
     m: int
     sign_images: frozenset
     narrow_equals_class: bool
-    guaranteed_sign_changes: frozenset
-    n_factors: int = 1
 
 
-def sign_data(field: BaseField, n_factors: int = 1) -> SignReport:
-    """Unit signs, narrow-class criterion, and guaranteed sign-change set.
+def sign_data(field: BaseField) -> SignReport:
+    """Unit signs and the narrow-class criterion.
 
-    narrow_equals_class iff the unit group surjects onto {+-1}^2 under
-    per-place signs, which for real quadratic K happens iff N(eps) = -1.
-    The guaranteed set of holonomy sign changes is all of {+-1}^n in that
-    case and otherwise only the subgroup generated by full time reversal.
+    The unit group +-eps^Z maps onto the subgroup of {+-1}^2 that -1 and eps
+    generate under per-place signs; narrow_equals_class iff that is all of
+    {+-1}^2, which for real quadratic K happens iff N(eps) = -1.
     """
-    gens = [(-1, -1), (field.eps.sign(0), field.eps.sign(1))]
-    img = {(1, 1)}
-    frontier = list(img)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = (cur[0] * g[0], cur[1] * g[1])
-            if nxt not in img:
-                img.add(nxt)
-                frontier.append(nxt)
-    narrow = len(img) == 4
-    full = {tuple(s) for s in _sign_tuples(n_factors)}
-    if narrow:
-        guaranteed = full
-    else:
-        rev = tuple([-1] * n_factors)
-        guaranteed = {tuple([1] * n_factors), rev}
-    return SignReport(field.m, frozenset(img), narrow, frozenset(guaranteed), n_factors)
-
-
-def _sign_tuples(n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _sign_tuples(n - 1):
-        yield (1,) + rest
-        yield (-1,) + rest
+    s = (field.eps.sign(0), field.eps.sign(1))
+    img = frozenset({(1, 1), (-1, -1), s, (-s[0], -s[1])})
+    return SignReport(field.m, img, len(img) == 4)
 
 
 def totally_positive_units_are_squares(field: BaseField, k_range: int = 6) -> bool:

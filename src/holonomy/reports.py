@@ -19,6 +19,7 @@ from pathlib import Path
 import mpmath
 
 from .extremal import MAJORANT, MINORANT, build_majorant
+from .fields import format_element
 from .measure import TrigFunction, eval_char, m_star, mu_of_trig, mu_rect
 from .spectrum import GeodesicTable
 
@@ -95,7 +96,7 @@ def pgt_report(table: GeodesicTable, grid, count_all: bool = False) -> Compariso
     classes (same main term asymptotically).
     """
     n = 1
-    uncertified = [str(r.t) for r in table.rows if not r.certified]
+    uncertified = [format_element(r.t) for r in table.rows if not r.certified]
     _check_grid(table, grid)
     rows = []
     for x in grid:

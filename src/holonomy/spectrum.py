@@ -102,27 +102,22 @@ class EllipticClass:
     weight_terms: list  # (m1, #O^1) pairs per realizable split
 
 
-def _mp_setup():
+def _abs_embedding(field: BaseField, t: FieldElement, place: int):
+    """|iota_place(t)| = |X +- Y*sqrt(m)|/c at LENGTH_PREC_BITS, from the
+    integers of t = (X + Y*sqrt(m))/c."""
     mp.prec = LENGTH_PREC_BITS
+    X, Y = field._xy(t)
+    return abs(X + (Y if place == 0 else -Y) * mp.sqrt(field.m)) / (2 if field._half_basis else 1)
 
 
 def trace_length(field: BaseField, t: FieldElement) -> float:
     """Geodesic length: 2 arccosh(|iota_0(t)|/2), evaluated at 96 bits."""
-    _mp_setup()
-    p, q = t.sqrt_coords()
-    v = abs(mp.mpf(p.numerator) / p.denominator + (mp.mpf(q.numerator) / q.denominator) * mp.sqrt(field.m))
-    return float(2 * mp.acosh(v / 2))
+    return float(2 * mp.acosh(_abs_embedding(field, t, 0) / 2))
 
 
 def trace_folded_angle(field: BaseField, t: FieldElement, place: int = 1) -> float:
     """Folded holonomy angle 2 arccos(|iota_place(t)|/2) in (0, pi]."""
-    _mp_setup()
-    p, q = t.sqrt_coords()
-    s = mp.sqrt(field.m)
-    if place == 1:
-        s = -s
-    v = abs(mp.mpf(p.numerator) / p.denominator + (mp.mpf(q.numerator) / q.denominator) * s)
-    return float(2 * mp.acos(v / 2))
+    return float(2 * mp.acos(_abs_embedding(field, t, place) / 2))
 
 
 def is_hyperbolic_elliptic_trace(field: BaseField, t: FieldElement) -> bool:

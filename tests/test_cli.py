@@ -58,6 +58,22 @@ class TestCliFlows:
         rep = json.loads(capsys.readouterr().out)
         assert rep["rows"][0]["count"] == 8.0
 
+    def test_pgt_names_uncertified_csv_rows_as_elements(self, tmp_path, capsys):
+        # a CSV-loaded row prints in the a+b*w form of format_element
+        shipped = Path(__file__).parent.parent / "data" / "spectrum_m2_x10.csv"
+        lines = shipped.read_text().splitlines()
+        assert lines[2].startswith("1,1,") and lines[2].endswith(",true")
+        lines[2] = lines[2][:-len("true")] + "false"
+        p = tmp_path / "uncertified.csv"
+        p.write_text("\n".join(lines) + "\n")
+        assert run_cli(["--format", "json", "stats", "pgt", "--in", str(p), "--grid", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["uncertified_rows"] == "1+w"
+        assert run_cli(["--strict", "stats", "pgt", "--in", str(p), "--grid", "4"]) == 3
+
+    def test_csv_is_not_an_output_format(self, tmp_path, capsys):
+        assert run_cli(["--format", "csv", "field", "info", "--m", "2"]) == 1
+        capsys.readouterr()
+
     def test_determinism_byte_identical(self, tmp_path):
         p1 = str(tmp_path / "a.csv")
         p2 = str(tmp_path / "b.csv")
@@ -197,6 +213,13 @@ class TestCliFlows:
             (["stats", "pgt", "--in", str(short_row), "--grid", "4"], "data row 1 has 3 fields"),
             (["stats", "pgt", "--in", str(empty), "--grid", "4"], "no header line"),
         ]
+        # a header x that is not finite and positive would turn off the coverage guard
+        body = Path(table).read_text().splitlines()[1:]
+        for x in ("nan", "inf", "-inf", "0", "-3"):
+            bad_x = tmp_path / f"x_{x}.csv"
+            bad_x.write_text("\n".join([f"# m=2 x={x}"] + body) + "\n")
+            cases.append((["stats", "pgt", "--in", str(bad_x), "--grid", "50"],
+                          f"header x={x} is not finite and positive"))
         # a bad config file names the file, the line and the key
         bad_configs = [
             ("foo=1\n", "line 1: key 'foo': unknown key"),
@@ -206,7 +229,8 @@ class TestCliFlows:
             ("ideal_bound_scale = inf\n", "line 1: key 'ideal_bound_scale': expected a finite number"),
             ("seed = 1\nunit_search_height = nan\n", "line 2: key 'unit_search_height': expected a finite number"),
             ("strict = maybe\n", "line 1: key 'strict': expected one of 1/true/yes/0/false/no"),
-            ("# formats\noutput_format = xml\n", "line 2: key 'output_format': expected one of csv/json/text"),
+            ("# formats\noutput_format = xml\n", "line 2: key 'output_format': expected one of json/text"),
+            ("output_format = csv\n", "line 1: key 'output_format': expected one of json/text"),
         ]
         for i, (text, why) in enumerate(bad_configs):
             bad = tmp_path / f"bad{i}.cfg"

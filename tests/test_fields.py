@@ -22,32 +22,83 @@ from holonomy.fields import (
     sign_data,
     square_divisor_splits,
     totally_positive_units_are_squares,
+    _fundamental_unit,
+    _is_squarefree,
     _lattice_product,
 )
 from holonomy.intlinalg import hnf, in_lattice
 
 
-def brute_pell_unit(m):
-    """Independent oracle: minimal unit > 1 by continued-fraction-free scan."""
-    if m % 4 == 1:
-        y = 1
-        while True:
-            for delta in (-4, 4):
-                t = m * y * y + delta
-                if t > 0:
-                    x = math.isqrt(t)
-                    if x * x == t:
-                        return (Fraction(x, 2), Fraction(y, 2))
-            y += 1
+def brute_pell_unit(m, ymax=None):
+    """Independent oracle: minimal unit > 1 by continued-fraction-free scan,
+    as (p, q) with eps = p + q*sqrt(m); None when its y exceeds ymax."""
+    c = 2 if m % 4 == 1 else 1
     y = 1
-    while True:
-        for delta in (-1, 1):
+    while ymax is None or y <= ymax:
+        for delta in (-c * c, c * c):
             t = m * y * y + delta
             if t > 0:
                 x = math.isqrt(t)
                 if x * x == t:
-                    return (Fraction(x), Fraction(y))
+                    return (Fraction(x, c), Fraction(y, c))
         y += 1
+    return None
+
+
+def pell_period_unit(m):
+    """The least (x, y), x, y > 0, with x^2 - m*y^2 = +-1, from the period of
+    the continued fraction of sqrt(m): the route the field took for
+    m = 2, 3 mod 4 before one continued fraction of w served both bases,
+    kept as an oracle where the brute scan is too long."""
+    a0 = math.isqrt(m)
+    P, Q = 0, 1
+    pm1, p0 = 1, a0
+    qm1, q0 = 0, 1
+    a = a0
+    while True:
+        P = a * Q - P
+        Q = (m - P * P) // Q
+        a = (a0 + P) // Q
+        if Q == 1:  # period complete: the previous convergent solves Pell
+            return p0, q0
+        pm1, p0 = p0, a * p0 + pm1
+        qm1, q0 = q0, a * q0 + qm1
+
+
+def sqrt_m_enclosure(K, kbits):
+    """Rational lo <= sqrt(m) <= hi with hi - lo = 2^-kbits: the enclosure
+    that BaseField kept before every float came from integers, kept as the
+    oracle of approx and _ymax."""
+    scale = 1 << kbits
+    lo = math.isqrt(K.m * scale * scale)
+    return (Fraction(lo, scale), Fraction(lo + 1, scale))
+
+
+def sqrt_coords(x):
+    """(p, q) with x = p + q*sqrt(m): ints, or Fraction halves when
+    m = 1 mod 4 and b is odd."""
+    a, b = x.a, x.b
+    if not x.field._half_basis:
+        return (a, b)
+    if b % 2 == 0:
+        return (a + b // 2, b // 2)
+    return (Fraction(2 * a + b, 2), Fraction(b, 2))
+
+
+def embed(x, place, prec=64):
+    """Rigorous enclosure (lo, hi) of iota_place(x), width <= 2^(1-prec)."""
+    if prec < 32:
+        raise ValueError("prec must be >= 32")
+    p, q = sqrt_coords(x)
+    if q == 0:
+        return (p, p)
+    k = prec + max(q.numerator.bit_length(), 1) + 2
+    lo_s, hi_s = sqrt_m_enclosure(x.field, k)
+    if place == 1:
+        lo_s, hi_s = -hi_s, -lo_s
+    if q > 0:
+        return (p + q * lo_s, p + q * hi_s)
+    return (p + q * hi_s, p + q * lo_s)
 
 
 class TestMakeField:
@@ -55,7 +106,7 @@ class TestMakeField:
         K = make_field(2)
         assert K.omega_text() == "sqrt(2)"
         assert K.disc == 8
-        assert K.eps.sqrt_coords() == (1, 1)  # 1 + sqrt2
+        assert sqrt_coords(K.eps) == (1, 1)  # 1 + sqrt2
         assert K.eps_norm == -1
         assert K.h_K == 1
 
@@ -78,7 +129,34 @@ class TestMakeField:
     @pytest.mark.parametrize("m", [2, 3, 5, 7, 13])
     def test_unit_against_oracle(self, m):
         K = make_field(m)
-        assert K.eps.sqrt_coords() == brute_pell_unit(m)
+        assert sqrt_coords(K.eps) == brute_pell_unit(m)
+
+    def test_continued_fraction_unit_below_200(self):
+        # a scan past y = 3*10^5 takes seconds, and eps has y from 3.1*10^5 to
+        # 1.2*10^9 for eight m, all 2, 3 mod 4: those are checked against the
+        # period of the continued fraction of sqrt(m) instead
+        beyond = []
+        for m in range(2, 200):
+            if not _is_squarefree(m):
+                continue
+            a, b = _fundamental_unit(m)
+            c = 2 if m % 4 == 1 else 1
+            got = (Fraction(c * a + (c - 1) * b, c), Fraction(b, c))
+            want = brute_pell_unit(m) if b <= 3 * 10**5 else None
+            if want is None:
+                beyond.append(m)
+                assert m % 4 != 1 and got == pell_period_unit(m), m
+            else:
+                assert got == want, m
+        assert beyond == [127, 139, 151, 163, 166, 179, 191, 199]
+
+    @pytest.mark.parametrize("m", [313, 337, 409])
+    def test_continued_fraction_unit_beyond_a_scan(self, m):
+        # eps has y > 10^7 here, where the y-scan the field used before gave up;
+        # the continued fraction runs without building the field
+        a, b = _fundamental_unit(m)
+        assert a > 0 and b > 0
+        assert abs(a * a + a * b - (m - 1) // 4 * b * b) == 1
 
     def test_omega_satisfies_its_quadratic(self):
         for m in (2, 3, 5, 13):
@@ -108,8 +186,8 @@ class TestElementArithmetic:
     def test_exact_norm_matches_embeddings(self):
         K = make_field(2)
         x = K.elt(123456, -654321)
-        lo0, hi0 = x.embed(0, 128)
-        lo1, hi1 = x.embed(1, 128)
+        lo0, hi0 = embed(x, 0, 128)
+        lo1, hi1 = embed(x, 1, 128)
         prod_lo = min(lo0 * lo1, lo0 * hi1, hi0 * lo1, hi0 * hi1)
         prod_hi = max(lo0 * lo1, lo0 * hi1, hi0 * lo1, hi0 * hi1)
         assert prod_lo <= x.norm() <= prod_hi
@@ -128,19 +206,19 @@ class TestElementArithmetic:
         K = make_field(2)
         x = K.elt(2, 1)
         # reference enclosure of sqrt(2) at much higher precision
-        s_lo, s_hi = K.sqrt_m_enclosure(200)
-        lo, hi = x.embed(0, 64)
+        s_lo, s_hi = sqrt_m_enclosure(K, 200)
+        lo, hi = embed(x, 0, 64)
         assert lo <= 2 + s_lo and 2 + s_hi <= hi
         assert hi - lo <= Fraction(2) ** (1 - 64)
-        lo, hi = x.embed(1, 64)
+        lo, hi = embed(x, 1, 64)
         assert lo <= 2 - s_hi and 2 - s_lo <= hi
         assert hi - lo <= Fraction(2) ** (1 - 64)
-        lo, hi = K.elt(3).embed(0, 64)
+        lo, hi = embed(K.elt(3), 0, 64)
         assert lo == hi == 3
 
     def test_embed_min_precision(self):
         with pytest.raises(ValueError):
-            make_field(2).elt(1, 1).embed(0, 16)
+            embed(make_field(2).elt(1, 1), 0, 16)
 
     def test_sign_decisions_exact(self):
         K = make_field(2)
@@ -184,11 +262,6 @@ class TestSignData:
     def test_m3_images(self):
         sd = sign_data(make_field(3))
         assert sd.sign_images == frozenset({(1, 1), (-1, -1)})
-
-    def test_time_reversal_always_guaranteed(self):
-        for m in (2, 3, 5):
-            sd = sign_data(make_field(m))
-            assert (-1,) in sd.guaranteed_sign_changes
 
 
 class TestSplits:
@@ -311,8 +384,9 @@ class TestElementsOfNorm:
         # the bound as computed before its rational factor was fixed per field
         K = make_field(m)
         cc = 4 if K._half_basis else 1
+        assert Fraction(*K._ymax_scale) == cc * (embed(K.eps, 0)[1] + 1) ** 2 / (4 * m)
         for n in range(5001):
-            assert K._ymax(n) == math.isqrt(math.floor(cc * n * (K.eps.embed(0)[1] + 1) ** 2 / (4 * m)))
+            assert K._ymax(n) == math.isqrt(math.floor(cc * n * (embed(K.eps, 0)[1] + 1) ** 2 / (4 * m)))
 
 
 def fraction_canonical_associate(K, x):
@@ -549,7 +623,7 @@ class FractionElement:
         if q == 0:
             return float(p)
         k = 64 + max(q.numerator.bit_length(), 1) + 2
-        lo_s, hi_s = self.K.sqrt_m_enclosure(k)
+        lo_s, hi_s = sqrt_m_enclosure(self.K, k)
         if place == 1:
             lo_s, hi_s = -hi_s, -lo_s
         return float((p + q * lo_s + p + q * hi_s) / 2)
@@ -575,13 +649,24 @@ class TestIntCoordinates:
             for place in (0, 1):
                 assert got.sign(place) == want.sign(place)
                 assert got.approx(place) == want.approx(place)
-            assert got.sqrt_coords() == want.sqrt_coords()
+            assert sqrt_coords(got) == want.sqrt_coords()
         for got, want in ((x.norm(), xo.norm()), ((x + x.conj()).a, xo.trace())):
             assert got == want and type(got) is int
         assert (x == c) == (xo.b == 0 and xo.a == c)
         if k < 0 and abs(xo.norm()) != 1:
             with pytest.raises(ArithmeticError):
                 x ** k
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.sampled_from([2, 3, 5, 13, 17]), a=st.integers(-10**30, 10**30),
+           b=st.integers(-10**30, 10**30).filter(bool))
+    def test_sqrt_m_read_at_the_enclosure_precision(self, m, a, b):
+        # approx reads sqrt(m) at the precision and lower end of the old enclosure
+        K = make_field(m)
+        x = K.elt(a, b)
+        k, L = K._sqrt_m_floor(K._xy(x)[1])
+        assert k == 66 + Fraction(sqrt_coords(x)[1]).numerator.bit_length()
+        assert Fraction(L, 1 << k) == sqrt_m_enclosure(K, k)[0]
 
     def test_integral_elements_have_int_coordinates(self):
         for m in (2, 5):

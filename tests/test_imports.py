@@ -7,9 +7,12 @@ with ast: a name bound by an import must be read somewhere in the module,
 as a name or as the base of an attribute, or in a string annotation. A
 top-level function or method of src/ must be named somewhere in src/,
 perfbench/ or scripts/, unless it is a test-backed helper in
-TEST_BACKED_HELPERS. No module imports numpy at module level: the report
-functions that use it import it where they run, so a build process and the
-queries that run no numpy code never pay its import.
+TEST_BACKED_HELPERS. A method counts as named wherever an attribute of its
+name is read, so a dead method that shares its name with a used one (an
+eval or to_json_dict of another class) is not caught. No module imports
+numpy at module level: the report functions that use it import it where
+they run, so a build process and the queries that run no numpy code never
+pay its import.
 """
 
 import ast
