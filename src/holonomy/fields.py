@@ -215,6 +215,11 @@ class FieldElement:
         return format_element(self)
 
 
+def _by_iota0(x: FieldElement):
+    """The order of every element list: by iota_0, then a, then b."""
+    return (x.approx(0), x.a, x.b)
+
+
 def quotient(x: FieldElement, y) -> FieldElement | None:
     """x / y in O_K, or None when y does not divide x (also for y = 0):
     kdiv_exact on elements; y may be an int."""
@@ -294,26 +299,13 @@ class BaseField:
         self.m = m
         self.degree = 2
         self._half_basis = m % 4 == 1
-        if self._half_basis:
-            self.disc = m
-            self._w2 = ((m - 1) // 4, 1)  # w^2 = (m-1)/4 + w
-            self._trace_w = 1
-        else:
-            self.disc = 4 * m
-            self._w2 = (m, 0)
-            self._trace_w = 0
-        self._prime_cache: dict[int, list] = {}
+        self.disc, self._w2 = _disc_w2(m)  # w^2 = c0 + c1*w
+        self._trace_w = self._w2[1]
         self._factor_cache: dict[tuple, tuple] = {}
         self._norm_table: tuple[int, dict] | None = None
         self.eps = FieldElement(self, *_fundamental_unit(m))
         self.eps_norm = self.eps.norm()
-        self._eps_xy = e1, e2 = self._xy(self.eps)
-        # _ymax's factor c^2 * (hi + 1)^2 / (4m) = N^2 / (4m * 4^k), with
-        # hi = (e1 + e2*(L+1)/2^k)/c >= iota_0(eps) read as in approx
-        c = 2 if self._half_basis else 1
-        k, L = self._sqrt_m_floor(e2)
-        N = ((e1 + c) << k) + e2 * (L + 1)
-        self._ymax_scale = (N * N, m << (2 * k + 2))
+        self._eps_xy = self._xy(self.eps)
         assert abs(self.eps_norm) == 1
         assert (self.eps - 1).sign(0) > 0
         self.h_K = self._class_number()
@@ -331,8 +323,8 @@ class BaseField:
     # -- numerics ---------------------------------------------------------------
     def _sqrt_m_floor(self, Y: int):
         """(k, L) with L = floor(sqrt(m) * 2^k), k = 66 + the bit length of
-        the reduced numerator of Y/c: the precision at which approx and
-        _ymax read sqrt(m) for an element with Y != 0."""
+        the reduced numerator of Y/c: the precision at which approx reads
+        sqrt(m) for an element with Y != 0."""
         if self._half_basis and Y % 2 == 0:
             Y //= 2
         k = 66 + Y.bit_length()
@@ -343,110 +335,94 @@ class BaseField:
 
     # -- class number ----------------------------------------------------------------
     def _class_number(self) -> int:
-        """Number of ideal classes, by Minkowski-bound enumeration and merging.
+        """h_K: the number of rho cycles of reduced forms of discriminant disc,
+        which is the narrow class number, halved when N(eps) = +1 (Cohen,
+        GTM 138, section 5.6). A reduced (a, b, c) has 0 < b < sqrt(disc)
+        and |sqrt(disc) - 2|a|| < b, so a divides (disc - b^2)/4."""
+        D = self.disc
+        s = math.isqrt(D)
+        forms = set()
+        for b in range(2 - D % 2, s + 1, 2):
+            n = (D - b * b) // 4
+            for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+                if n % a == 0:
+                    forms.update({(a, b, -n // a), (-a, b, n // a)})
+        cycles = 0
+        while forms:
+            f = g = forms.pop()
+            while (g := _rho(D, s, g)) != f:
+                forms.remove(g)
+            cycles += 1
+        return cycles if self.eps_norm == -1 else cycles // 2
 
-        Every class contains an integral ideal of norm <= sqrt(disc)/2; those
-        are enumerated as HNF lattices and merged via principality of I*conj(J)
-        (exact, unit-window-certified element searches).
-        """
-        bound = math.isqrt(self.disc) // 2
-        lattices = [((1, 0), (0, 1))]
-        for n in range(2, bound + 1):
-            for rows in self._ideals_of_norm(n):
-                lattices.append(rows)
-        classes: list[tuple] = []
-        for rows in lattices:
-            found = False
-            for rep in classes:
-                prod = _lattice_product(self, rows, _lattice_conj(self, rep))
-                if self.principal_generator(prod) is not None:
-                    found = True
-                    break
-            if not found:
-                classes.append(rows)
-        return len(classes)
+    def principal_generator(self, rows) -> FieldElement | None:
+        """Canonical generator of the O_K-ideal spanned by rows, or None when
+        it is not principal. The ideal is g*J with g its content and J =
+        Z*a + Z*(t + w) primitive; the rho walk from J's form meets a form
+        with |a| = 1, whose ideal is O_K, exactly when J is principal, and
+        then J = (x/d)*O_K. A lattice that is not an ideal raises ValueError."""
+        H = hnf([list(r) for r in rows])
+        if not self._is_ideal(H):
+            raise ValueError(f"lattice {H} is not an O_K-ideal")
+        (p, q), (_, r) = H
+        g = math.gcd(p, q, r)
+        p, q, r = p // g, q // g, r // g
+        b = -2 * p * pow(q, -1, r) - self._trace_w  # J holds t + w = (-b + sqrt(disc))/2
+        for (a, _, _), (x0, x1), d in _cycle(self.m, (p * r, b, (b * b - self.disc) // (4 * p * r))):
+            if abs(a) == 1:
+                gen = self.canonical_associate(FieldElement(self, g * x0 // d, g * x1 // d))
+                assert ideal_of_element(gen).rows == tuple(tuple(r) for r in H)
+                return gen
+        return None
 
-    def _ideals_of_norm(self, n: int):
-        """All O_K-stable row lattices ((p, q), (0, r)) with p*r = n."""
-        out = []
-        for r in range(1, n + 1):
-            if n % r:
-                continue
-            p = n // r
-            for q in range(0, r):
-                rows = [[p, q], [0, r]]
-                if self._is_ideal(rows):
-                    out.append(tuple(tuple(x) for x in rows))
-        return out
-
-    # -- bounded exact searches --------------------------------------------------------
     def elements_of_norm(self, n: int, lattice_rows=None):
         """Canonical associates (sorted by iota_0, a, b) of all x with |N(x)| = n
         in the ideal spanned by lattice_rows over (1, w) (default O_K): the
-        norm window of _norm_window with lo = hi = n. A lattice that is not
-        an O_K-ideal raises ValueError: membership must not depend on the
-        associate.
+        entries of elements_up_to_norm(n)[n] that lie in the ideal. A lattice
+        that is not an O_K-ideal raises ValueError: membership must not
+        depend on the associate.
         """
         if n <= 0:
             raise ValueError("n must be positive")
         ideal = hnf([list(r) for r in lattice_rows or [[1, 0], [0, 1]]])
         if not self._is_ideal(ideal):
             raise ValueError(f"lattice {ideal} is not an O_K-ideal")
-        out = [x for _, x in self._norm_window(n, n) if in_lattice([x.a, x.b], ideal)]
-        out.sort(key=lambda z: (z.approx(0), z.a, z.b))
-        return out
+        return [x for x in self.elements_up_to_norm(n).get(n, []) if in_lattice([x.a, x.b], ideal)]
 
     def _is_ideal(self, rows) -> bool:
         """Whether the row lattice (HNF over (1, w)) is stable under w."""
         return all(in_lattice(xw, rows) for xw in k_module_rows(self, rows)[1::2])
 
     def elements_up_to_norm(self, bound: int) -> dict:
-        """dict n -> canonical elements (up to units) with |N| = n <= bound,
-        each list sorted as in elements_of_norm: the norm window of
-        _norm_window with lo = 1. The table is cached; a larger bound
-        rebuilds it at no less than twice the cached bound, so a rising
-        sequence of bounds rebuilds it rarely.
-        """
+        """dict n -> canonical generators of the principal ideals of norm n <=
+        bound, each list sorted as in elements_of_norm. Every ideal is a
+        product of prime ideals above the primes ell <= bound, multiplied as
+        generators, or as HNF rows with one walk when a factor is not
+        principal. The table is cached; a larger bound rebuilds it at no less
+        than twice the cached bound, so a rising sequence of bounds rebuilds
+        it rarely."""
         if self._norm_table is None or self._norm_table[0] < bound:
             top = max(bound, 2 * self._norm_table[0]) if self._norm_table else bound
-            out: dict[int, list] = {}
-            for n, x in self._norm_window(1, top):
-                out.setdefault(n, []).append(x)
-            for lst in out.values():
-                lst.sort(key=lambda z: (z.approx(0), z.a, z.b))
-            self._norm_table = (top, out)
-        return {n: lst for n, lst in self._norm_table[1].items() if n <= bound}
+            ideals = {1: [self.one()]}  # norm -> generators, or rows of non-principal ideals
+            for ell in (n for n in range(2, top + 1) if _factorint(n) == {n: 1}):
+                for P, gen in _primes_above(self, ell):
+                    q = pivot_product(P)
+                    for n, lst in [(n, list(lst)) for n, lst in ideals.items()]:
+                        while (n := n * q) <= top:
+                            lst = [self._ideal_product(I, P if gen is None else gen) for I in lst]
+                            ideals.setdefault(n, []).extend(lst)
+            gens = {n: [self.canonical_associate(I) for I in lst if isinstance(I, FieldElement)]
+                    for n, lst in ideals.items()}
+            self._norm_table = (top, {n: sorted(g, key=_by_iota0) for n, g in gens.items() if g})
+        return {n: list(lst) for n, lst in self._norm_table[1].items() if n <= bound}
 
-    def _norm_window(self, lo: int, hi: int):
-        """(|N(x)|, x) for every canonical x with lo <= |N(x)| <= hi, lo >= 1.
-
-        Strip search: x = (X + Y*sqrt(m))/c, c = 2 if m = 1 mod 4 else 1, so
-        X^2 - m*Y^2 = +-c^2*N(x) with X = Y mod 2 when c = 2. A canonical x
-        has 0 < iota_0 < sqrt|N|*eps and |iota_1| <= sqrt|N|, so X >= 0 and
-        0 <= Y = c*(iota_0 - iota_1)/(2*sqrt(m)) <= Ymax, bounded exactly via
-        an integer upper bound on iota_0(eps). For each Y the X of either sign of
-        N(x) form a range bounded by isqrt.
-        """
-        cc = 4 if self._half_basis else 1
-        windows = ((cc * lo, cc * hi), (-cc * hi, -cc * lo))
-        for Y in range(self._ymax(hi) + 1):
-            mY2 = self.m * Y * Y
-            for dlo, dhi in windows:
-                A, B = mY2 + dlo, mY2 + dhi  # the X >= 0 with A <= X^2 <= B
-                if B < 0:
-                    continue
-                X0 = math.isqrt(A - 1) + 1 if A > 0 else 0
-                for X in range(X0, math.isqrt(B) + 1):
-                    if (cc == 4 and (X - Y) % 2) or not self._is_canonical_xy(X, Y):
-                        continue
-                    yield abs(X * X - mY2) // cc, self._from_xy(X, Y)
-
-    def _ymax(self, n: int) -> int:
-        """Bound on Y = c*(iota_0 - iota_1)/(2*sqrt(m)) over canonical x with
-        |N(x)| <= n, from the upper bound on iota_0(eps) that __init__ reads
-        off sqrt(m) at approx's precision."""
-        num, den = self._ymax_scale
-        return math.isqrt(n * num // den)
+    def _ideal_product(self, I, J):
+        """I*J for ideals given by a generator, or by HNF rows when not principal."""
+        if isinstance(I, FieldElement) and isinstance(J, FieldElement):
+            return I * J
+        xs, ys = ([(X.a, X.b)] if isinstance(X, FieldElement) else X for X in (I, J))
+        rows = [list(kmul(self, x, y)) for x in xs for y in ys]
+        return self.principal_generator(rows) or hnf(rows)
 
     def _xy(self, x: FieldElement):
         """Integers (X, Y) with x = (X + Y*sqrt(m))/c."""
@@ -486,7 +462,7 @@ class BaseField:
                 x = FieldElement(self, a, b)
                 if x.sign(0) >= 0 and (x - 2).sign(1) < 0 and (x + 2).sign(1) > 0:
                     out.append(x)
-        out.sort(key=lambda z: (z.approx(0), z.a, z.b))
+        out.sort(key=_by_iota0)
         return out
 
     def canonical_associate(self, x: FieldElement) -> FieldElement:
@@ -515,25 +491,6 @@ class BaseField:
                 k += 1
         return k, self._from_xy(X, Y)
 
-    def principal_generator(self, rows) -> FieldElement | None:
-        """Generator of the row lattice if it is a principal ideal, else None."""
-        H = hnf([list(r) for r in rows])
-        key = tuple(tuple(r) for r in H)
-        for cand in self.elements_of_norm(pivot_product(H), H):
-            if ideal_of_element(cand).rows == key:
-                return cand
-        return None
-
-
-def _lattice_conj(field: BaseField, rows):
-    """Row lattice of the conjugate module."""
-    return hnf([list(kconj(field, r)) for r in rows])
-
-
-def _lattice_product(field: BaseField, rows_a, rows_b):
-    """Row lattice of the product module (pairwise generator products)."""
-    return hnf([list(kmul(field, ra, rb)) for ra in rows_a for rb in rows_b])
-
 
 def _factorint(n: int) -> dict[int, int]:
     n = abs(n)
@@ -557,37 +514,76 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-def _kronecker(a: int, p: int) -> int:
-    """Kronecker symbol (a/p) for odd prime or 2."""
-    if p == 2:
-        if a % 2 == 0:
-            return 0
-        return 1 if a % 8 in (1, 7) else -1
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+def _sqrt_mod(a: int, p: int):
+    """A square root of a modulo the odd prime p, or None when a is not a
+    square mod p (Tonelli-Shanks; Cohen, GTM 138, Algorithm 1.5.1)."""
+    if pow(a, (p - 1) // 2, p) == p - 1:
+        return None
+    k = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^k * q with q odd
+    q = (p - 1) >> k
+    c = pow(next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1), q, p)
+    x, b = pow(a, (q + 1) // 2, p), pow(a, q, p)  # x^2 = a*b, b of order 2^i < 2^k
+    while b > 1:  # b = x = 0 when p divides a
+        i = next(i for i in range(1, k) if pow(b, 1 << i, p) == 1)
+        t = pow(c, 1 << (k - i - 1), p)
+        k, c, x, b = i, t * t % p, x * t % p, b * t * t % p
+    return x
+
+
+def _disc_w2(m: int):
+    """(disc, (c0, c1)) of Q(sqrt(m)), with w^2 = c0 + c1*w."""
+    return (m, ((m - 1) // 4, 1)) if m % 4 == 1 else (4 * m, (m, 0))
+
+
+# -- reduced ideals: forms (a, b, c) of discriminant D, b^2 - 4ac = D ------------------
+
+
+def _rho(D: int, s: int, f):
+    """rho(a, b, c) = (c, r, (r^2 - D)/(4c)) with r = -b mod 2|c|, in
+    (-|c|, |c|] when |c| > sqrt(D) and else the largest such r < sqrt(D):
+    the largest such r <= max(|c|, s), s = isqrt(D) (Cohen, GTM 138,
+    Definition 5.6.4). It maps reduced forms to reduced forms, and reaches
+    one from any form in a few steps."""
+    _, b, c = f
+    t = max(abs(c), s)
+    r = t - (t + b) % (2 * abs(c))
+    return c, r, (r * r - D) // (4 * c)
+
+
+def _cycle(m: int, f):
+    """Yield (f_k, (x0, x1), d) for k = 0, 1, ... along rho from the form f
+    of Q(sqrt(m)), with I_f = ((x0 + x1*w)/d) * I_(f_k) for the ideal I_f =
+    Z*a + Z*beta, beta = (-b + sqrt(disc))/2 = w - (b + tr(w))/2: one step
+    multiplies by beta/c, as I_f = (beta/c) * I_rho(f). Stops after yielding
+    the first reduced form a second time."""
+    D, (c0, tw) = _disc_w2(m)
+    s = math.isqrt(D)
+    x0, x1, d = 1, 0, 1
+    first = None
+    while True:
+        yield f, (x0, x1), d
+        if f == first:
+            return
+        a, b, c = f
+        if first is None and b <= s and 2 * abs(a) - b <= s < 2 * abs(a) + b:
+            first = f  # reduced: |sqrt(D) - 2|a|| < b < sqrt(D)
+        t = -(b + tw) // 2  # beta = t + w
+        x0, x1, d = x0 * t + x1 * c0, x0 + x1 * (t + tw), d * c
+        f = _rho(D, s, f)
 
 
 def _fundamental_unit(m: int):
     """Coordinates (a, b) over (1, w) of the fundamental unit eps > 1 of
-    Q(sqrt(m)): a + b*w = p - q*conj(w) for the first convergent p/q of the
-    continued fraction of w = (P + sqrt(m))/Q whose norm is +-1 (Cohen,
-    GTM 138, section 5.7). A unit u = p - q*conj(w) > 1 has |w - p/q| =
-    1/(q*u) and u > q*sqrt(m) - 1, so for m > 9 Legendre's bound 1/(2q^2)
-    makes p/q a convergent; the tests check m < 200 by brute force."""
-    r = math.isqrt(m)
-    c0, tw = ((m - 1) // 4, 1) if m % 4 == 1 else (m, 0)  # w^2 = c0 + tw*w
-    P, Q = (1, 2) if m % 4 == 1 else (0, 1)
-    p0, p, q0, q = 0, 1, 1, 0
-    while True:
-        a = (P + r) // Q
-        p0, p, q0, q = p, a * p + p0, q, a * q + q0
-        x = p - tw * q
-        if abs(x * x + tw * x * q - c0 * q * q) == 1:
-            return x, q
-        P = a * Q - P
-        Q = (m - P * P) // Q
+    Q(sqrt(m)): the unit u = x/d of O_K's own cycle, from its reduced form
+    (1, b, c) to the next form with |a| = 1 (Cohen, GTM 138, section 5.7).
+    eps is the one of +-u, +-1/u = +-conj(u) with (X, Y) > 0 in eps = (X +
+    Y*sqrt(m))/c, as eps > 1 > |conj(eps)|."""
+    D, (_, tw) = _disc_w2(m)
+    s = math.isqrt(D)
+    b = s - (s - D) % 2  # the largest b < sqrt(D) with b = D mod 2
+    (x0, x1), d = next((x, d) for f, x, d in _cycle(m, (1, b, (b * b - D) // 4)) if abs(f[0]) == 1 and x[1])
+    X, Y = abs(((1 + tw) * x0 + tw * x1) // d), abs(x1 // d)
+    return (X - tw * Y) // (1 + tw), Y
 
 
 @lru_cache(maxsize=None)
@@ -639,30 +635,35 @@ def totally_positive_units_are_squares(field: BaseField, k_range: int = 6) -> bo
 
 
 def prime_elements_above(field: BaseField, ell: int):
-    """Prime elements of O_K above ell (h_K = 1 scope); memoised per field, fresh list."""
-    if ell not in field._prime_cache:
-        field._prime_cache[ell] = _find_prime_elements(field, ell)
-    return list(field._prime_cache[ell])
-
-
-def _find_prime_elements(field: BaseField, ell: int):
-    ks = _kronecker(field.disc, ell)
-    if ks == -1:
-        return [field.elt(ell)]
-    pis = field.elements_of_norm(ell)
-    if not pis:
+    """Prime elements of O_K above ell (h_K = 1 scope), sorted by (iota_0, a,
+    b): the generators of the prime ideals above ell; fresh list."""
+    gens = [gen for _, gen in _primes_above(field, ell)]
+    if None in gens:
         raise ScopeError(f"no element of norm {ell}: h_K > 1 is out of scope")
-    if ks == 0:
-        return [pis[0]]
-    # split: pi and its conjugate generate the two primes
-    pi = pis[0]
-    pib = field.canonical_associate(pi.conj())
-    if ideal_of_element(pi).rows == ideal_of_element(pib).rows:
-        for cand in pis[1:]:
-            if ideal_of_element(cand).rows != ideal_of_element(pi).rows:
-                pib = cand
-                break
-    return [pi, pib]
+    return gens
+
+
+@lru_cache(maxsize=None)
+def _primes_above(field: BaseField, ell: int):
+    """(rows, generator or None) of each prime ideal above ell, memoised per
+    field: P = (ell, w - r) for a root r of w's minimal polynomial mod
+    ell, and conj(P) = (ell, w - (tr(w) - r)), generated by the conjugate
+    and equal to P when ell ramifies; (ell) when there is no root.
+    Principal ones are sorted by generator."""
+    c0, tw = field._w2
+    if ell == 2:
+        r = next((r for r in (0, 1) if (r * r - tw * r - c0) % 2 == 0), None)
+    else:  # the roots are (tr(w) +- s)/2 with s^2 = disc mod ell
+        s = _sqrt_mod(field.disc, ell)
+        r = None if s is None else (tw + s) * (ell + 1) // 2 % ell
+    if r is None:
+        return [([[ell, 0], [0, ell]], field.elt(ell))]
+    # HNF of Z*ell + Z*(w - s): 1 + q*w lies in it for q = -1/s mod ell, unless ell | s
+    rows = [[[1, -pow(s, -1, ell) % ell], [0, ell]] if s else [[ell, 0], [0, 1]]
+            for s in dict.fromkeys((r, (tw - r) % ell))]
+    gen = field.principal_generator(rows[0])
+    pairs = list(zip(rows, [gen, gen and field.canonical_associate(gen.conj())]))
+    return pairs if gen is None else sorted(pairs, key=lambda pg: _by_iota0(pg[1]))
 
 
 def valuation(x: FieldElement, pi: FieldElement):

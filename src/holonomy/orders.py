@@ -36,7 +36,7 @@ from .fields import (
     IdealK,
     ScopeError,
     _factorint,
-    _kronecker,
+    _primes_above,
     factor_element,
     format_element,
     ideal_of_element,
@@ -184,13 +184,11 @@ def _ideal_generator(K: BaseField, key: tuple):
 
 
 def _is_prime_ideal(p: IdealK, m: int) -> bool:
-    """p is a prime ideal of Q(sqrt(m)): of prime norm, or of norm l^2 for a
-    rational prime l inert in it (then p = (l))."""
+    """p is a prime ideal of Q(sqrt(m)): one of the prime ideals above the
+    rational prime whose power its norm is."""
     fac = _factorint(p.norm)
-    if p.m != m or len(fac) != 1:
-        return False
-    ((ell, e),) = fac.items()
-    return e == 1 or e == 2 and _kronecker(make_field(m).disc, ell) == -1
+    return (p.m == m and len(fac) == 1
+            and [list(r) for r in p.rows] in [P for P, _ in _primes_above(make_field(m), *fac)])
 
 
 @dataclass(frozen=True)

@@ -287,3 +287,32 @@ class TestImport:
 
     def test_explicit_setting_wins(self):
         assert self._probe("2")[0] == "2"
+
+
+class TestLargeUnitFields:
+    """Fields whose fundamental unit has coordinates in the tens of millions,
+    where building the field once scanned a window linear in eps and never
+    finished. Each command runs in a fresh interpreter under a timeout, so a
+    hang fails its test instead of stalling the suite; the field itself
+    builds in milliseconds, and `field info --m 313` takes about 0.25 s in
+    all on a 2-core VM."""
+
+    @staticmethod
+    def _cli(*args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return subprocess.run([sys.executable, "-m", "holonomy.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=5)
+
+    def test_field_info_m313(self):
+        r = self._cli("field", "info", "--m", "313")
+        assert r.returncode == 0
+        assert '"h_K": 1' in r.stdout
+
+    def test_enumerate_m466_is_out_of_scope(self, tmp_path):
+        r = self._cli("--cache", str(tmp_path / "cache.jsonl"), "enumerate", "--m", "466",
+                      "--x", "3", "--out", str(tmp_path / "x3.csv"))
+        assert r.returncode == 2
+        assert "enumeration requires h_K = 1" in r.stderr

@@ -12,6 +12,7 @@ from holonomy.fields import (
     format_element,
     ideal_of_element,
     k_module_rows,
+    kconj,
     kdiv_exact,
     kmul,
     knorm,
@@ -22,11 +23,13 @@ from holonomy.fields import (
     sign_data,
     square_divisor_splits,
     totally_positive_units_are_squares,
+    _factorint,
     _fundamental_unit,
     _is_squarefree,
-    _lattice_product,
+    _primes_above,
+    _sqrt_mod,
 )
-from holonomy.intlinalg import hnf, in_lattice
+from holonomy.intlinalg import hnf, in_lattice, pivot_product
 
 
 def brute_pell_unit(m, ymax=None):
@@ -168,6 +171,39 @@ class TestMakeField:
     def test_class_number_m10_is_two(self):
         assert make_field(10).h_K == 2
 
+    @pytest.mark.parametrize("m", [139, 151, 163, 166, 199, 211, 313])
+    def test_minkowski_ideals_principal_where_eps_is_large(self, m):
+        # every class holds an ideal of norm <= sqrt(disc)/2, so generators
+        # of all of them prove h_K = 1 without counting cycles; eps has
+        # coordinates from 5*10^6 to 3*10^11 here, which a norm window must cover
+        K = make_field(m)
+        for n in range(1, math.isqrt(K.disc) // 2 + 1):
+            for rows in ideals_of_norm(K, n):
+                gen = K.principal_generator(rows)
+                assert gen is not None and ideal_of_element(gen).rows == rows
+        assert K.h_K == 1
+
+    def test_prime_ideals_match_sympy(self):
+        # sympy decomposes over the minimal polynomial of w, whose power basis
+        # is O_K's basis (1, w): over x^2 - m, prime_decomp(2, ...) in sympy
+        # 1.14.0 does not return for m = 1 mod 8 (m = 17 first), where 2
+        # splits and divides the index of Z[sqrt(m)]
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.numberfields.primes import prime_decomp
+
+        x = sympy.Symbol("x")
+        for m in filter(_is_squarefree, range(2, 50)):
+            K = make_field(m)
+            c0, c1 = K._w2
+            for ell in (p for p in range(2, 60) if _factorint(p) == {p: 1}):
+                want = set()
+                for P in prime_decomp(ell, sympy.Poly(x * x - c1 * x - c0, x)):
+                    M = P.as_submodule()  # columns a + b*w
+                    assert M.denom == 1
+                    gens = [[int(c) for c in col] for col in M.matrix.to_Matrix().T.tolist()]
+                    want.add(tuple(map(tuple, hnf(k_module_rows(K, gens)))))
+                assert {tuple(map(tuple, P)) for P, _ in _primes_above(K, ell)} == want, (m, ell)
+
     def test_unit_minimality_bounded_scan(self):
         # no unit u with 1 < iota0(u) < iota0(eps) (lattice scan)
         for m in (2, 3, 5, 13):
@@ -297,9 +333,7 @@ class TestSplits:
             return
         target = ideal_of_element(D).rows
         for d, f in square_divisor_splits(D):
-            prod = _lattice_product(K, _lattice_product(K, list(map(list, f.rows)),
-                                                        list(map(list, f.rows))),
-                                    list(map(list, d.rows)))
+            prod = lattice_product(K, lattice_product(K, f.rows, f.rows), d.rows)
             assert tuple(tuple(r) for r in prod) == target
 
     def test_h_gt_1_rejected(self):
@@ -316,6 +350,157 @@ class TestSplits:
         for pi, e in fac:
             rebuilt = rebuilt * pi ** e
         assert rebuilt == x
+
+
+def window_ymax_scale(K):
+    """(num, den) with num/den = c^2*(hi + 1)^2/(4m), where hi >= iota_0(eps)
+    reads sqrt(m) at approx's precision: hi = (e1 + e2*(L+1)/2^k)/c for
+    eps = (e1 + e2*sqrt(m))/c, so num = N^2 with N = (e1 + c)*2^k +
+    e2*(L + 1). The factor the field kept before the rho walk."""
+    e1, e2 = K._eps_xy
+    c = 2 if K._half_basis else 1
+    k, L = K._sqrt_m_floor(e2)
+    N = ((e1 + c) << k) + e2 * (L + 1)
+    return N * N, K.m << (2 * k + 2)
+
+
+def window_ymax(K, n):
+    """Bound on Y = c*(iota_0 - iota_1)/(2*sqrt(m)) over canonical x with
+    |N(x)| <= n: the field's own bound before the rho walk."""
+    num, den = window_ymax_scale(K)
+    return math.isqrt(n * num // den)
+
+
+def norm_window(K, lo, hi):
+    """(|N(x)|, x) for every canonical x with lo <= |N(x)| <= hi, lo >= 1,
+    by the strip search over 0 <= Y <= window_ymax(hi) that the field used
+    before the rho walk: for each Y the X of either sign of N(x) form a
+    range bounded by isqrt. Its length grows like eps."""
+    cc = 4 if K._half_basis else 1
+    windows = ((cc * lo, cc * hi), (-cc * hi, -cc * lo))
+    for Y in range(window_ymax(K, hi) + 1):
+        mY2 = K.m * Y * Y
+        for dlo, dhi in windows:
+            A, B = mY2 + dlo, mY2 + dhi  # the X >= 0 with A <= X^2 <= B
+            if B < 0:
+                continue
+            X0 = math.isqrt(A - 1) + 1 if A > 0 else 0
+            for X in range(X0, math.isqrt(B) + 1):
+                if (cc == 4 and (X - Y) % 2) or not K._is_canonical_xy(X, Y):
+                    continue
+                yield abs(X * X - mY2) // cc, K._from_xy(X, Y)
+
+
+def by_iota0(lst):
+    return sorted(lst, key=lambda z: (z.approx(0), z.a, z.b))
+
+
+def window_elements_up_to_norm(K, bound):
+    out = {}
+    for n, x in norm_window(K, 1, bound):
+        out.setdefault(n, []).append(x)
+    return {n: by_iota0(lst) for n, lst in out.items()}
+
+
+def window_elements_of_norm(table, n, rows=None):
+    """The elements of norm n in the ideal spanned by rows, read off a table
+    of window_elements_up_to_norm that holds n: the norm window with lo =
+    hi = n gives the same list, but one window per call is slow."""
+    ideal = hnf([list(r) for r in rows or [[1, 0], [0, 1]]])
+    return [x for x in table.get(n, []) if in_lattice([x.a, x.b], ideal)]
+
+
+def window_principal_generator(table, rows):
+    """The generator search the rho walk replaced: every element of norm N(I)
+    in I, tested for generating I."""
+    H = hnf([list(r) for r in rows])
+    key = tuple(tuple(r) for r in H)
+    for cand in window_elements_of_norm(table, pivot_product(H), H):
+        if ideal_of_element(cand).rows == key:
+            return cand
+    return None
+
+
+def kronecker(a, p):
+    """Kronecker symbol (a/p) for an odd prime p or p = 2."""
+    if p == 2:
+        return 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
+    return 0 if a % p == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
+
+
+def window_prime_elements(K, table, ell):
+    """Prime elements above ell from the elements of norm ell, as the field
+    found them before the rho walk; ScopeError when there are none."""
+    if kronecker(K.disc, ell) == -1:
+        return [K.elt(ell)]
+    pis = window_elements_of_norm(table, ell)
+    if not pis:
+        raise ScopeError(f"no element of norm {ell}: h_K > 1 is out of scope")
+    return pis[:1] if kronecker(K.disc, ell) == 0 else [pis[0], K.canonical_associate(pis[0].conj())]
+
+
+def ideals_of_norm(K, n):
+    """All O_K-stable row lattices ((p, q), (0, r)) with p*r = n."""
+    out = []
+    for r in range(1, n + 1):
+        if n % r:
+            continue
+        for q in range(r):
+            rows = [[n // r, q], [0, r]]
+            if K._is_ideal(rows):
+                out.append(tuple(tuple(x) for x in rows))
+    return out
+
+
+def lattice_conj(K, rows):
+    """Row lattice of the conjugate module."""
+    return hnf([list(kconj(K, r)) for r in rows])
+
+
+def lattice_product(K, rows_a, rows_b):
+    """Row lattice of the product module (pairwise generator products)."""
+    return hnf([list(kmul(K, ra, rb)) for ra in rows_a for rb in rows_b])
+
+
+def pairwise_class_number(K):
+    """h_K by merging the ideals of norm <= sqrt(disc)/2 (every class holds
+    one) through the principality of I*conj(J): the field's count before
+    the rho walk, with window_principal_generator."""
+    bound = math.isqrt(K.disc) // 2
+    table = window_elements_up_to_norm(K, bound * bound)
+    classes = []
+    for n in range(1, bound + 1):
+        for rows in ideals_of_norm(K, n):
+            if not any(window_principal_generator(table, lattice_product(K, rows, lattice_conj(K, rep)))
+                       is not None for rep in classes):
+                classes.append(rows)
+    return len(classes)
+
+
+# squarefree m < 120 whose field the window route built in under 3 s: all but 94
+WINDOW_FIELDS = [m for m in range(2, 120) if _is_squarefree(m) and m != 94]
+
+
+@pytest.mark.parametrize("m", WINDOW_FIELDS)
+def test_rho_walk_matches_window_oracles(m):
+    # h_K, generators, norm lists and prime elements as the norm window and
+    # the pairwise class merge gave them, over every ideal of norm <= 20
+    K = BaseField(m)
+    table = window_elements_up_to_norm(K, 20)
+    assert K.h_K == pairwise_class_number(K)
+    assert K.elements_up_to_norm(20) == table
+    for n in range(1, 21):
+        for rows in ideals_of_norm(K, n):
+            assert K.principal_generator(rows) == window_principal_generator(table, rows)
+            assert K.elements_of_norm(n, rows) == window_elements_of_norm(table, n, rows)
+    for ell in (2, 3, 5, 7, 11, 13, 17, 19):
+        try:
+            want = window_prime_elements(K, table, ell)
+        except ScopeError:
+            with pytest.raises(ScopeError):
+                prime_elements_above(K, ell)
+        else:
+            assert prime_elements_above(K, ell) == want
 
 
 def box_elements_of_norm(K, n):
@@ -353,18 +538,24 @@ class TestElementsOfNorm:
         K = make_field(m)
         assert K.elements_of_norm(n) == box_elements_of_norm(K, n)
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    @pytest.mark.parametrize("m", [2, 3, 5, 13, 10, 15, 79])
     def test_ideal_lattice_keeps_its_generators(self, m):
+        # h_K = 1 for m = 2, 3, 5, 13: every ideal of norm n has a generator;
+        # h_K = 2, 2, 3 for m = 10, 15, 79, where some ideals have none
         K = make_field(m)
+        without = 0
         for n in range(2, 26):
             everything = K.elements_of_norm(n)
-            for rows in K._ideals_of_norm(n):
+            for rows in ideals_of_norm(K, n):
                 got = K.elements_of_norm(n, rows)
                 assert got == [z for z in everything if in_lattice([z.a, z.b], rows)]
-                # h_K = 1: every ideal of norm n has a generator, and every
-                # element of norm n inside it generates it
-                assert got
+                # every element of norm n inside the ideal generates it, and
+                # the ideal holds one exactly when principal_generator finds it
                 assert all(ideal_of_element(z).rows == rows for z in got)
+                gen = K.principal_generator(rows)
+                assert got == ([] if gen is None else [gen])
+                without += gen is None
+        assert (without > 0) == (K.h_K > 1)
 
     def test_non_ideal_lattice_rejected(self):
         K = make_field(2)
@@ -372,21 +563,22 @@ class TestElementsOfNorm:
         with pytest.raises(ValueError):
             K.elements_of_norm(4, [[1, 0], [0, 2]])
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 13])
+    def test_ymax_matches_per_call_enclosure(self, m):
+        # the norm-window oracle's Y bound, against the one computed from the
+        # per-call Fraction enclosure of iota_0(eps)
+        K = make_field(m)
+        cc = 4 if K._half_basis else 1
+        assert Fraction(*window_ymax_scale(K)) == cc * (embed(K.eps, 0)[1] + 1) ** 2 / (4 * m)
+        for n in range(5001):
+            assert window_ymax(K, n) == math.isqrt(math.floor(cc * n * (embed(K.eps, 0)[1] + 1) ** 2 / (4 * m)))
+
     def test_ideal_lattice_in_any_basis(self):
         K = make_field(5)
-        rows = K._ideals_of_norm(11)[0]
+        rows = ideals_of_norm(K, 11)[0]
         shuffled = [[rows[0][0] + rows[1][0], rows[0][1] + rows[1][1]], list(rows[1])]
         assert hnf(shuffled) == [list(r) for r in rows]
         assert K.elements_of_norm(11, shuffled) == K.elements_of_norm(11, rows)
-
-    @pytest.mark.parametrize("m", [2, 3, 5, 13])
-    def test_ymax_matches_per_call_enclosure(self, m):
-        # the bound as computed before its rational factor was fixed per field
-        K = make_field(m)
-        cc = 4 if K._half_basis else 1
-        assert Fraction(*K._ymax_scale) == cc * (embed(K.eps, 0)[1] + 1) ** 2 / (4 * m)
-        for n in range(5001):
-            assert K._ymax(n) == math.isqrt(math.floor(cc * n * (embed(K.eps, 0)[1] + 1) ** 2 / (4 * m)))
 
 
 def fraction_canonical_associate(K, x):
@@ -538,6 +730,25 @@ class TestTraceStrip:
 
 
 class TestPrimeElements:
+    def test_sqrt_mod_matches_the_squares(self):
+        for p in (q for q in range(3, 400) if _factorint(q) == {q: 1}):
+            squares = {x * x % p for x in range(p)}
+            for a in range(-2, 2 * p):
+                r = _sqrt_mod(a, p)
+                assert r is None if a % p not in squares else r * r % p == a % p, (a, p)
+
+    @pytest.mark.parametrize("m,ell", [(2, 1000003), (2, 1000033), (5, 1000003), (5, 1000039),
+                                       (3, 999983), (13, 10**9 + 7)])
+    def test_large_primes(self, m, ell):
+        # inert and split primes near 10^6 and 10^9: each prime ideal comes
+        # from a square root of disc mod ell, not a scan over the residues
+        K = make_field(m)
+        gens = prime_elements_above(K, ell)
+        split = kronecker(K.disc, ell) == 1
+        assert [abs(g.norm()) for g in gens] == ([ell, ell] if split else [ell * ell])
+        assert len({ideal_of_element(g).rows for g in gens}) == len(gens)
+        assert all(K.canonical_associate(g) == g for g in gens)
+
     def test_repeated_calls_return_equal_independent_lists(self):
         K = make_field(2)
         first = prime_elements_above(K, 7)
